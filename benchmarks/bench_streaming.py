@@ -1,5 +1,5 @@
 """Streaming-assessment benchmarks: chunked throughput and the
-bounded-memory claim, plus the faster Huffman decode path."""
+bounded-memory claim, plus the data-parallel Huffman decoder."""
 
 import numpy as np
 import pytest
@@ -38,10 +38,12 @@ def test_streaming_carry_is_bounded(bench_pair):
     checker.finalize()
 
 
-@pytest.mark.parametrize("alphabet", [4, 64, 1024])
+@pytest.mark.parametrize("alphabet", [4, 1024, 1 << 17])
 def test_huffman_decode_throughput(benchmark, alphabet, rng_seed=3):
-    """Decode rate of the LUT-based canonical decoder across alphabet
-    sizes (deeper codes -> wider windows, same one-lookup-per-symbol)."""
+    """Decode rate of the one vectorised canonical decoder across code
+    depths: 2 and 10 bits sit below the 16-bit limit of the table decoder
+    it replaced, the 2^17-ary alphabet (depth 18, like the default SZ
+    configuration) above it, where decoding used to be a per-bit loop."""
     rng = np.random.default_rng(rng_seed)
     values = rng.integers(0, alphabet, size=200_000).astype(np.int64)
     from repro.compressors.huffman import huffman_decode, huffman_encode

@@ -97,186 +97,184 @@ def _serialize_code(code: HuffmanCode) -> bytes:
     )
 
 
-def _deserialize_code(blob: bytes) -> tuple[HuffmanCode, int]:
-    (n,) = struct.unpack("<I", blob[:4])
-    off = 4
-    symbols = np.frombuffer(blob[off : off + 8 * n], dtype="<i8").astype(np.int64)
-    off += 8 * n
-    lengths = np.frombuffer(blob[off : off + n], dtype="<u1").astype(np.uint8)
-    off += n
-    return HuffmanCode(symbols=symbols, lengths=lengths), off
+def _deserialize_code(blob: bytes, off: int) -> tuple[HuffmanCode, int]:
+    """Parse and validate the codebook at ``blob[off:]``; returns it and
+    the offset just past it."""
+    if len(blob) < off + 4:
+        raise CompressionError("Huffman header truncated")
+    (n,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    if n < 1 or len(blob) < off + 9 * n:
+        raise CompressionError(f"Huffman codebook of {n} symbols is empty or truncated")
+    symbols = np.frombuffer(blob, dtype="<i8", count=n, offset=off).astype(np.int64)
+    lengths = np.frombuffer(blob, dtype="<u1", count=n, offset=off + 8 * n)
+    if (symbols[1:] <= symbols[:-1]).any():
+        raise CompressionError("Huffman symbols are not strictly increasing")
+    if lengths.min() < 1 or lengths.max() > _MAX_CODE_LEN:
+        raise CompressionError(f"Huffman code length outside [1, {_MAX_CODE_LEN}]")
+    return HuffmanCode(symbols=symbols, lengths=lengths), off + 9 * n
 
 
 def huffman_encode(values: np.ndarray) -> bytes:
     """Encode an integer array; returns a self-contained byte string."""
-    values = np.asarray(values).astype(np.int64).ravel()
+    values = np.asarray(values).astype(np.int64, copy=False).ravel()
     if values.size == 0:
-        return struct.pack("<I", 0) + struct.pack("<Q", 0)
-    uniq, counts = np.unique(values, return_counts=True)
-    code = _code_lengths({int(s): int(c) for s, c in zip(uniq, counts)})
-    codes = code.assign_codes()
-    idx = np.searchsorted(code.symbols, values)
+        return struct.pack("<IQ", 0, 0)
+    uniq, idx, counts = np.unique(values, return_inverse=True, return_counts=True)
+    code = _code_lengths(dict(zip(uniq.tolist(), counts.tolist())))
+    lengths = code.lengths[idx]
+    codewords = code.assign_codes()[idx]
 
-    lengths = code.lengths[idx].astype(np.int64)
-    codewords = codes[idx]
+    # Matrix-free bit packing into big-endian 64-bit words.  A codeword is
+    # at most 48 bits, so it touches at most two words and every word holds
+    # the start of at least one: the codewords starting in a word form a
+    # contiguous run that one segmented OR folds, and at most one of them
+    # (the last) spills its low bits into the successor word.
+    ends = np.cumsum(lengths, dtype=np.int64)
+    total_bits = int(ends[-1])
+    offs = ends - lengths
+    shift = 64 - (offs & 63) - lengths  # of the codeword's LSB; < 0 = spills
+    spill = np.flatnonzero(shift < 0)
+    part = codewords << np.maximum(shift, 0).astype(np.uint64)
+    part[spill] = codewords[spill] >> (-shift[spill]).astype(np.uint64)
+    first = np.flatnonzero(np.diff(offs >> 6, prepend=-1))
+    words = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
+    words[: first.size] = np.bitwise_or.reduceat(part, first)
+    words[(offs[spill] >> 6) + 1] |= codewords[spill] << (64 + shift[spill]).astype(np.uint64)
+    payload = words.astype(">u8").tobytes()[: (total_bits + 7) >> 3]
 
-    # Vectorised bit packing: one broadcast shift matrix extracts every
-    # codeword's bits MSB-first, the ragged rows are compacted with the
-    # per-symbol validity mask, and np.packbits emits the byte stream.
-    # Chunked so the matrix stays bounded regardless of input size.
-    total_bits = int(lengths.sum())
-    max_len = int(lengths.max())
-    bit_cols = np.arange(max_len, dtype=np.int64)
-    bits = np.empty(total_bits, dtype=np.uint8)
-    pos = 0
-    chunk = max(1, (1 << 22) // max_len)
-    for start in range(0, values.size, chunk):
-        lens = lengths[start : start + chunk]
-        cws = codewords[start : start + chunk]
-        shifts = lens[:, None] - 1 - bit_cols[None, :]
-        mat = (cws[:, None] >> np.maximum(shifts, 0).astype(np.uint64)) & np.uint64(1)
-        nb = int(lens.sum())
-        bits[pos : pos + nb] = mat[shifts >= 0].astype(np.uint8)
-        pos += nb
-    payload = np.packbits(bits, bitorder="big").tobytes()
-
-    header = _serialize_code(code)
     return (
-        struct.pack("<I", 1)
-        + struct.pack("<Q", values.size)
-        + header
+        struct.pack("<IQ", 1, values.size)
+        + _serialize_code(code)
         + struct.pack("<Q", total_bits)
         + payload
     )
 
 
-#: LUT decoding is used when the deepest code fits this many bits
-_LUT_MAX_BITS = 16
+#: payload words whose 64 bit positions are classified per decode step —
+#: bounds the decoder's temporaries (1 MiB of windows) whatever the stream
+_BLOCK_WORDS = 2048
+#: window prefix bits resolved by table; longer codes take the searchsorted
+_LUT_BITS = 12
+_LUT_SHIFT = np.uint64(64 - _LUT_BITS)
+#: length marker of a window no codeword matches (incomplete codes only);
+#: non-zero, so the successor walk still advances past it to the check
+_INVALID = 255
+
+_BIT = np.arange(64, dtype=np.uint64)
+_RSHIFT = (64 - np.arange(_MAX_CODE_LEN + 1)).astype(np.uint64)
 
 
-def _canonical_tables(code: HuffmanCode):
-    """(sorted symbols, lengths, codes) in canonical order plus the
-    per-length first-code/first-index tables."""
-    codes = code.assign_codes()
-    order = np.lexsort((code.symbols, code.lengths))
-    sorted_lengths = code.lengths[order]
-    sorted_symbols = code.symbols[order]
-    sorted_codes = codes[order]
-    max_len = int(sorted_lengths.max())
-    first_code = np.zeros(max_len + 2, dtype=np.int64)
-    first_index = np.zeros(max_len + 2, dtype=np.int64)
-    count_by_len = np.bincount(sorted_lengths, minlength=max_len + 2)
-    c = 0
-    i = 0
-    for ln in range(1, max_len + 1):
-        first_code[ln] = c
-        first_index[ln] = i
-        c = (c + count_by_len[ln]) << 1
-        i += count_by_len[ln]
-    return (
-        sorted_symbols,
-        sorted_lengths,
-        sorted_codes,
-        first_code,
-        first_index,
-        count_by_len,
-        max_len,
-    )
+def _decode_tables(code: HuffmanCode):
+    """Canonical tables over left-aligned 64-bit windows.
 
-
-def _decode_lut(payload, total_bits, count, tables) -> np.ndarray:
-    """Table-driven decoder: peek ``max_len`` bits, one lookup per symbol.
-
-    A canonical prefix code of depth L maps every L-bit window starting
-    with a codeword to that codeword, so a 2^L lookup table decodes one
-    whole symbol per step — no per-bit loop.
+    Left-aligned, the first code of each length is the running Kraft sum
+    scaled by 2^64, so a window's code length is found by comparing it
+    with the last window of each length in use (``last``, ascending), and
+    its rank among the symbols in canonical order is
+    ``first_index[len] + ((window - base[len]) >> (64 - len))``.
     """
-    symbols, lengths, codes, *_rest, max_len = tables
-    lut_sym = np.zeros(1 << max_len, dtype=np.int64)
-    lut_len = np.zeros(1 << max_len, dtype=np.uint8)
-    for sym, ln, cw in zip(symbols, lengths, codes):
-        shift = max_len - int(ln)
-        start = int(cw) << shift
-        span = 1 << shift
-        lut_sym[start : start + span] = sym
-        lut_len[start : start + span] = ln
-    lut_sym_list = lut_sym.tolist()
-    lut_len_list = lut_len.tolist()
+    count_by_len = np.bincount(code.lengths, minlength=_MAX_CODE_LEN + 1)
+    present = np.flatnonzero(count_by_len)
+    base = np.zeros(_MAX_CODE_LEN + 1, dtype=np.uint64)
+    first_index = np.zeros(_MAX_CODE_LEN + 1, dtype=np.int64)
+    last = []
+    kraft = 0  # Python int: reaches 2**64 exactly for a complete code
+    index = 0
+    for ln, n in zip(present.tolist(), count_by_len[present].tolist()):
+        if kraft + (n << (64 - ln)) > 1 << 64:
+            raise CompressionError("Huffman code lengths are over-subscribed")
+        base[ln] = kraft
+        first_index[ln] = index
+        kraft += n << (64 - ln)
+        index += n
+        last.append(kraft - 1)
+    last = np.array(last, dtype=np.uint64)
+    lens_of = np.append(present, _INVALID).astype(np.uint8)
 
-    out = np.empty(count, dtype=np.int64)
-    mask = (1 << max_len) - 1
-    acc = 0
-    nbits = 0
-    byte_iter = iter(payload)
-    consumed = 0
-    for produced in range(count):
-        while nbits < max_len:
-            try:
-                acc = (acc << 8) | next(byte_iter)
-                nbits += 8
-            except StopIteration:
-                acc <<= max_len - nbits  # zero-pad the tail window
-                nbits = max_len
-                break
-        window = (acc >> (nbits - max_len)) & mask
-        ln = lut_len_list[window]
-        if ln == 0 or consumed + ln > total_bits:
-            raise CompressionError("invalid or truncated Huffman stream")
-        out[produced] = lut_sym_list[window]
-        consumed += ln
-        nbits -= ln
-        acc &= (1 << nbits) - 1
-    return out
+    def classify(windows: np.ndarray) -> np.ndarray:
+        return lens_of[np.searchsorted(last, windows)]
 
-
-def _decode_bitwise(payload, total_bits, count, tables) -> np.ndarray:
-    """Per-bit canonical decoder (fallback for very deep codes)."""
-    symbols, _lengths, _codes, first_code, first_index, count_by_len, max_len = tables
-    bits = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), count=total_bits, bitorder="big"
-    )
-    out = np.empty(count, dtype=np.int64)
-    pos = 0
-    value = 0
-    length = 0
-    produced = 0
-    bitlist = bits.tolist()
-    nbits = len(bitlist)
-    while produced < count:
-        if pos >= nbits:
-            raise CompressionError("Huffman stream truncated")
-        value = (value << 1) | bitlist[pos]
-        pos += 1
-        length += 1
-        if length > max_len:
-            raise CompressionError("invalid Huffman stream")
-        offset = value - int(first_code[length])
-        if 0 <= offset < count_by_len[length]:
-            out[produced] = symbols[int(first_index[length]) + offset]
-            produced += 1
-            value = 0
-            length = 0
-    return out
+    # prefix short-cut: a _LUT_BITS prefix whose lowest and highest window
+    # classify alike fixes the length; 0 sends the rest to ``classify``
+    lo = np.arange(1 << _LUT_BITS, dtype=np.uint64) << _LUT_SHIFT
+    hi = lo | ((np.uint64(1) << _LUT_SHIFT) - np.uint64(1))
+    len_lo = classify(lo)
+    lut = np.where(len_lo == classify(hi), len_lo, 0).astype(np.uint8)
+    symbols = code.symbols[np.argsort(code.lengths, kind="stable")]
+    return symbols, base, first_index, classify, lut
 
 
 def huffman_decode(blob: bytes) -> np.ndarray:
-    """Decode the byte string produced by :func:`huffman_encode`."""
-    (version,) = struct.unpack("<I", blob[:4])
-    (count,) = struct.unpack("<Q", blob[4:12])
+    """Decode the byte string produced by :func:`huffman_encode`.
+
+    Data-parallel canonical decoding: the code length of the codeword
+    that *would* start at every bit position is classified with vector
+    operations, the true starts are the orbit of bit 0 under
+    ``p -> p + len[p]``, and symbols are gathered at those starts only.
+    Any malformed stream raises :class:`CompressionError`.
+    """
+    if len(blob) < 12:
+        raise CompressionError("Huffman header truncated")
+    version, count = struct.unpack_from("<IQ", blob)
+    if version > 1:
+        raise CompressionError(f"unknown Huffman stream version {version}")
     if version == 0 or count == 0:
         return np.zeros(0, dtype=np.int64)
-    code, used = _deserialize_code(blob[12:])
-    off = 12 + used
-    (total_bits,) = struct.unpack("<Q", blob[off : off + 8])
-    off += 8
-    payload = blob[off:]
-    if len(payload) * 8 < total_bits:
+    code, off = _deserialize_code(blob, 12)
+    if len(blob) < off + 8:
+        raise CompressionError("Huffman header truncated")
+    (total_bits,) = struct.unpack_from("<Q", blob, off)
+    payload = bytes(blob[off + 8 :])
+    if len(payload) != (total_bits + 7) >> 3 or count > total_bits:
         raise CompressionError(
-            f"Huffman payload truncated: {len(payload) * 8} bits present, "
-            f"{total_bits} recorded"
+            f"Huffman payload of {len(payload)} bytes does not hold "
+            f"{count} symbols in {total_bits} recorded bits"
         )
-    tables = _canonical_tables(code)
-    max_len = tables[-1]
-    if max_len <= _LUT_MAX_BITS:
-        return _decode_lut(payload, total_bits, count, tables)
-    return _decode_bitwise(payload, total_bits, count, tables)
+    symbols, base, first_index, classify, lut = _decode_tables(code)
+
+    n_words = (total_bits + 63) >> 6
+    words = np.zeros(n_words + 1, dtype=np.uint64)  # +1: successor of the last
+    words[:n_words] = np.frombuffer(payload.ljust(8 * n_words, b"\0"), dtype=">u8")
+    if total_bits & 63 and words[n_words - 1] << np.uint64(total_bits & 63):
+        raise CompressionError("Huffman payload padding bits are set")
+
+    out = np.empty(count, dtype=np.int64)
+    produced = 0
+    pos = 0  # bit position of the next codeword start
+    for w0 in range(0, n_words, _BLOCK_WORDS):
+        blk = words[w0 : w0 + _BLOCK_WORDS + 1]
+        bit0 = w0 << 6
+        # left-aligned 64-bit window at each of the block's bit positions:
+        # bit b of a word onwards, topped up from the successor word (shifted
+        # by 1 + (63 - b), since a shift by 64 is undefined)
+        windows = (blk[1:, None] >> np.uint64(1)) >> _BIT[::-1]
+        windows |= blk[:-1, None] << _BIT
+        windows = windows.ravel()
+        lens = lut[(windows >> _LUT_SHIFT).astype(np.intp)]
+        deep = np.flatnonzero(lens == 0)
+        lens[deep] = classify(windows[deep])
+
+        # successor walk: the only per-symbol Python loop, over one block
+        step = lens.tobytes()
+        end = min(windows.size, total_bits - bit0)
+        p = pos - bit0
+        starts = []
+        while p < end:
+            starts.append(p)
+            p += step[p]
+        pos = p + bit0
+
+        starts = np.array(starts, dtype=np.intp)
+        ln = lens[starts]
+        if produced + starts.size > count or (ln == _INVALID).any():
+            raise CompressionError("invalid Huffman stream")
+        rank = first_index[ln] + ((windows[starts] - base[ln]) >> _RSHIFT[ln]).astype(np.int64)
+        out[produced : produced + starts.size] = symbols[rank]
+        produced += starts.size
+    if produced != count or pos != total_bits:
+        raise CompressionError(
+            f"Huffman stream ended at bit {pos} of {total_bits} "
+            f"after {produced} of {count} symbols"
+        )
+    return out

@@ -62,7 +62,8 @@ class UniformQuantCompressor(Compressor):
     def decompress(self, buf: CompressedBuffer) -> np.ndarray:
         self._check_codec(buf)
         (base,) = struct.unpack("<q", buf.payload[:8])
-        symbols = huffman_decode(buf.payload[8:]) + base
+        symbols = huffman_decode(buf.payload[8:])
+        symbols += base  # fresh from the decoder: shift in place
         shape = tuple(buf.meta["shape"])
         eb_q = float(buf.meta.get("quant_bound", buf.meta["abs_bound"]))
         out = dequantize(symbols.reshape(shape), eb_q)

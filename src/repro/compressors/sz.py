@@ -136,15 +136,15 @@ class SZCompressor(Compressor):
             raise CompressionError(
                 f"decoded {symbols.size} symbols for {n} elements"
             )
-        residuals = symbols.copy()
+        # the decoder returns a fresh array: patch the outliers in place
         sentinel = -(radius + 1)
         if n_out:
-            if not (residuals[idx] == sentinel).all():
+            if not (symbols[idx] == sentinel).all():
                 raise CompressionError("outlier positions disagree with sentinels")
-            residuals[idx] = val
-        elif (residuals == sentinel).any():
+            symbols[idx] = val
+        elif (symbols == sentinel).any():
             raise CompressionError("sentinel symbols without outlier records")
 
-        q = lorenzo_reconstruct(residuals.reshape(shape))
+        q = lorenzo_reconstruct(symbols.reshape(shape))
         out = dequantize(q, eb)
         return out.astype(buf.meta.get("dtype", "float32")).reshape(shape)

@@ -78,7 +78,7 @@ def _diff3(blocks: np.ndarray) -> np.ndarray:
 
 
 def _cumsum3(blocks: np.ndarray) -> np.ndarray:
-    q = blocks.astype(np.int64)
+    q = blocks  # cumsum allocates its int64 output: no defensive copy
     for axis in (1, 2, 3):
         q = np.cumsum(q, axis=axis, dtype=np.int64)
     return q
