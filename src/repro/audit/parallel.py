@@ -26,12 +26,11 @@ root span with one lane per worker PID — the same chunk-granular
 
 from __future__ import annotations
 
-import json
 import pickle
 from concurrent.futures import FIRST_COMPLETED, wait
 from pathlib import Path
 
-from repro.audit.checkpoint import AuditCheckpoint, part_path_for
+from repro.audit.checkpoint import AuditCheckpoint, load_part, part_path_for
 from repro.errors import CheckerError
 
 __all__ = ["run_parallel_audit"]
@@ -40,8 +39,8 @@ __all__ = ["run_parallel_audit"]
 PART_KIND = "audit-part"
 
 #: coordinator poll interval while worker jobs run (seconds); merges are
-#: cheap (raw-JSON passthrough, no array decode) so polling fast keeps
-#: the main checkpoint close behind the parts
+#: cheap (array segments pass through as opaque byte ranges, no decode)
+#: so polling fast keeps the main checkpoint close behind the parts
 _POLL_S = 0.2
 
 
@@ -84,10 +83,8 @@ def _job_audit_field(spec: dict):
         bundle = load_bundle(spec["bundle_root"])
 
         resume_state = None
-        try:
-            doc = part.load()
-        except Exception:  # noqa: BLE001 — a stale/corrupt part resets the field
-            doc = None
+        # a corrupt part resets the field, loudly (RuntimeWarning)
+        doc = load_part(part.path)
         if (
             doc is not None
             and doc.get("fingerprint_sha") == spec["fingerprint_sha"]
@@ -155,20 +152,6 @@ def _job_audit_field(spec: dict):
 # -- coordinator -----------------------------------------------------------
 
 
-def _read_part_raw(path: Path) -> dict | None:
-    """A part file as raw (still-encoded) JSON, or ``None``.
-
-    The coordinator never needs the arrays themselves — it folds the
-    encoded state straight into the main checkpoint, whose own
-    ``encode_state`` pass leaves already-encoded structures unchanged —
-    so merging costs JSON parse + dump, not base64 array round-trips.
-    """
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
 def run_parallel_audit(
     pending,
     workers: int,
@@ -228,7 +211,9 @@ def run_parallel_audit(
         for _, _, _, key, n_chunks in pending:
             if key in completed:
                 continue
-            raw = _read_part_raw(part_path_for(parts_dir, key))
+            # raw: the stream state's arrays stay opaque CRC'd byte
+            # ranges that checkpoint.save() copies through unchanged
+            raw = load_part(part_path_for(parts_dir, key), raw=True)
             if (
                 raw is None
                 or raw.get("fingerprint_sha") != fp_sha

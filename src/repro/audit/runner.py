@@ -47,9 +47,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.audit.checkpoint import (
+    PART_GLOB,
     AuditCheckpoint,
+    load_part,
     parts_dir_for,
     remove_parts,
+    sweep_stale_temps,
 )
 from repro.errors import CheckerError, DataIOError
 from repro.io.bundle import load_bundle
@@ -257,7 +260,8 @@ def run_audit(
         replaced atomically after every chunk and deleted once the
         report is on disk.  A parallel run adds a sibling
         ``<checkpoint>.parts/`` directory of worker-owned part files,
-        removed with the checkpoint.
+        removed with the checkpoint.  Temp files a killed earlier run
+        orphaned next to either are swept when the audit starts.
     codec / codec_args:
         The chunk-wise compressor under assessment (registry name +
         constructor kwargs).  Compression is applied per chunk, so the
@@ -285,7 +289,10 @@ def run_audit(
         is created and closed internally when omitted).
     progress:
         Optional callback ``(event: str, payload: dict)`` for CLI
-        progress lines.
+        progress lines.  The ``"resume"`` event's ``discarded_parts``
+        counts worker part files that failed validation (each also
+        raised a ``RuntimeWarning``); their fields resume from the main
+        checkpoint's snapshot instead.
     stop_after_chunks:
         Test hook — raise :class:`AuditInterrupted` after this many
         chunks were processed *in this run* (checkpoint already saved).
@@ -324,6 +331,11 @@ def run_audit(
         )
         fp_sha = _fingerprint_sha(fingerprint)
 
+        # temp files a SIGKILLed writer orphaned (each a whole checkpoint's
+        # bytes) are claimed by nothing else
+        sweep_stale_temps(checkpoint.path.parent, checkpoint.path.name)
+        sweep_stale_temps(parts_dir, PART_GLOB)
+
         completed: dict[str, dict] = {}
         in_flight: dict[str, dict] = {}
         if resume:
@@ -341,13 +353,14 @@ def run_audit(
                     in_flight[current["key"]] = current
                 for key, state in (snapshot.get("in_flight") or {}).items():
                     in_flight[key] = state
-            _overlay_parts(parts_dir, fp_sha, completed, in_flight)
-            if completed or in_flight:
+            discarded = _overlay_parts(parts_dir, fp_sha, completed, in_flight)
+            if completed or in_flight or discarded:
                 notify(
                     "resume",
                     {
                         "completed": len(completed),
                         "mid_field": bool(in_flight),
+                        "discarded_parts": discarded,
                     },
                 )
         else:
@@ -445,22 +458,24 @@ def run_audit(
             session.close(wait=True)
 
 
-def _overlay_parts(parts_dir, fp_sha, completed, in_flight) -> None:
+def _overlay_parts(parts_dir, fp_sha, completed, in_flight) -> int:
     """Fold leftover worker part files into the resume state.
 
     Parts may be *newer* than the last coordinator merge (a kill can
     land between a worker's save and the merge), so they win over the
     main checkpoint's entries.  Parts from a different fingerprint are
-    ignored.
+    ignored.  A corrupt part is discarded — warned about by
+    :func:`load_part`, removed so its worker starts clean — and its field
+    falls back to the main checkpoint's snapshot; returns how many were.
     """
-    if not Path(parts_dir).is_dir():
-        return
-    for path in sorted(Path(parts_dir).glob("part-*.json")):
-        try:
-            doc = AuditCheckpoint(path).load()
-        except DataIOError:
+    discarded = 0
+    for path in sorted(Path(parts_dir).glob(PART_GLOB)):
+        doc = load_part(path)
+        if doc is None:
+            path.unlink(missing_ok=True)
+            discarded += 1
             continue
-        if doc is None or doc.get("fingerprint_sha") != fp_sha:
+        if doc.get("fingerprint_sha") != fp_sha:
             continue
         key = doc.get("key")
         if not key or key in completed:
@@ -475,6 +490,7 @@ def _overlay_parts(parts_dir, fp_sha, completed, in_flight) -> None:
                 "bytes_streamed": doc["bytes_streamed"],
                 "stream": doc["stream"],
             }
+    return discarded
 
 
 def _run_serial(

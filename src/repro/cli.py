@@ -122,7 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="final JSON report (default <root>/audit_report.json)")
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file, replaced atomically after every "
-                        "chunk (default <root>/.audit_checkpoint.json)")
+                        "chunk (default <root>/.audit_checkpoint.json; one "
+                        "CRC-checked binary container despite the suffix, and "
+                        "a JSON checkpoint left by an older version still "
+                        "resumes)")
     p.add_argument("--codec", default="sz",
                    help="chunk-wise codec under assessment: "
                         "sz|zfp|uniform_quant|decimate")
@@ -449,6 +452,11 @@ def _cmd_audit(args) -> int:
     def progress(event, payload):
         if event == "resume":
             extra = " mid-field" if payload["mid_field"] else ""
+            if payload["discarded_parts"]:
+                extra += (
+                    f" ({payload['discarded_parts']} corrupt worker part "
+                    "file(s) discarded)"
+                )
             print(
                 f"resuming from checkpoint: {payload['completed']} field(s) "
                 f"already done{extra}",

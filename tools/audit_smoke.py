@@ -61,8 +61,13 @@ def _env() -> dict:
     return env
 
 
+def _use_src() -> None:
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+
+
 def build_tree(root: Path, codec: str | None = None) -> None:
-    sys.path.insert(0, str(SRC))
+    _use_src()
     from repro.datasets.registry import generate_dataset
     from repro.io.bundle import save_bundle, save_bundle_chunked, verify_bundle
 
@@ -89,14 +94,15 @@ def checkpoint_progress(ckpt: Path) -> tuple[int, int]:
 
     A serial run carries one ``in_progress`` field; a parallel run's
     coordinator merges the worker part files into an ``in_flight`` map
-    on every poll.  Both shapes count as progress here.
+    on every poll.  Both shapes count as progress here.  Only the
+    checkpoint's header is read (``peek``) — this polls every 2 ms.
     """
-    if not ckpt.exists():
-        return (0, 0)
-    try:
-        doc = json.loads(ckpt.read_text())
-    except (json.JSONDecodeError, OSError):
-        return (0, 0)  # mid-replace on some exotic fs; treat as no progress
+    _use_src()
+    from repro.audit.checkpoint import AuditCheckpoint
+
+    doc = AuditCheckpoint(ckpt).peek()
+    if doc is None:
+        return (0, 0)  # absent, or mid-replace on some exotic fs
     progress = doc.get("in_progress") or {}
     chunks = int(progress.get("chunks_done", 0))
     for state in (doc.get("in_flight") or {}).values():
