@@ -12,7 +12,8 @@ dependency DAG); a :class:`Backend` decides *how*:
 ``metric-oriented``
     The moZC-style path: each pattern executes standalone (no shared
     workspace, no cross-pattern moment reuse), mirroring one kernel
-    pipeline per metric.  Values are identical to ``fused-host`` — only
+    pipeline per metric.  Values are tolerance-equal to ``fused-host``
+    (SSIM bit for bit: both run the one sweep on the raw pair) — only
     the modelled cost differs (its :meth:`Backend.kernel_plans` returns
     the per-metric moZC kernel lists).
 ``gpusim``
@@ -107,6 +108,7 @@ class Backend(abc.ABC):
 
     def run_step(self, step, ctx: RunContext, report) -> None:
         """Execute one plan step, filling ``report`` and updating ``ctx``."""
+        default_scratch_pool().sweep_depth = None
         if step.kind == "pattern1":
             with ctx.tracer.span("pattern1", category="kernel", pattern=1) as sp:
                 report.pattern1, stats = self._pattern1(ctx)
@@ -118,17 +120,21 @@ class Backend(abc.ABC):
                 self._on_launch([stats])
                 self._annotate(sp, stats)
                 self._annotate_host(sp, ctx)
+                self._annotate_sweep(sp)
         elif step.kind == "pattern2":
             with ctx.tracer.span("pattern2", category="kernel", pattern=2) as sp:
                 report.pattern2, stats = self._pattern2(ctx)
                 self._on_launch([stats])
                 self._annotate(sp, stats)
                 self._annotate_host(sp, ctx)
+                self._annotate_sweep(sp)
         elif step.kind == "pattern3":
             with ctx.tracer.span("pattern3", category="kernel", pattern=3) as sp:
                 report.pattern3, stats = self._pattern3(ctx)
                 self._on_launch([stats])
                 self._annotate(sp, stats)
+                self._annotate_host(sp, ctx)
+                self._annotate_sweep(sp)
         elif step.kind == "auxiliary":
             with ctx.tracer.span(
                 "host.auxiliary", category="kernel", pattern="aux",
@@ -171,6 +177,16 @@ class Backend(abc.ABC):
         shm_bytes = ctx.extras.get("shm_bytes")
         if shm_bytes:
             sp.attrs["shm_bytes"] = shm_bytes
+
+    def _annotate_sweep(self, sp) -> None:
+        """What the step's z-slab sweep did, as the sweep itself recorded
+        it on the thread's pool: the depth it ran with and the arena it
+        carved from.  Nothing when no host sweep ran inside the step
+        (compiled kernels, results finalised from an earlier tiled pass)."""
+        pool = default_scratch_pool()
+        if pool.sweep_depth is not None:
+            sp.attrs["slab_depth"] = pool.sweep_depth
+            sp.attrs["scratch_bytes"] = pool.arena_nbytes()
 
     # -- pattern hooks -----------------------------------------------------
 
@@ -323,10 +339,13 @@ class CompiledHostBackend(FusedHostBackend):
     ±1 stencil and the sliding SSIM window — replaced by single-pass
     compiled kernels (:mod:`repro.engine.compiled`).
 
-    Values are identical to ``fused-host`` (the compiled kernels reduce
-    in the same order and always compute the full stencil set, so metric
-    subsets stay bit-identical); only the constant factor differs, which
-    is why the dispatcher selects this backend purely on calibrated cost.
+    Values are tolerance-equal to ``fused-host`` (DESIGN §6 table: the
+    compiled kernels evaluate the same per-element expressions but group
+    their reductions per plane where the host sweeps group them per slab;
+    they always compute the full stencil set, so metric subsets stay
+    bit-identical among themselves); only the constant factor differs,
+    which is why the dispatcher selects this backend purely on calibrated
+    cost.
     Without Numba the kernels run interpreted — registration never
     depends on the import, but the dispatcher only *enumerates* this
     backend when :func:`repro.engine.compiled.available` is true, and

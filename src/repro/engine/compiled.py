@@ -86,7 +86,7 @@ def compiled_stencil_partials(o: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Single-pass partial sums for all four stencil comparisons.
 
     Returns a ``(4, 4)`` array indexed ``[which, stat]`` with ``which``
-    as in :func:`repro.kernels.pattern2._slab_stencil_fields` (0=grad,
+    as in :func:`repro.kernels.pattern2.new_stencil_partials` (0=grad,
     1=2nd-deriv, 2=divergence, 3=laplacian) and ``stat`` =
     (sum_o, sum_d, sum_sq_diff, max_abs_diff).  Gradient and second-
     derivative magnitudes are sqrt outputs, summed raw; divergence and
@@ -362,6 +362,10 @@ def execute_pattern3_compiled(
     )
     if count == 0:
         raise ShapeError("no complete SSIM window fits the data")
+    if not math.isfinite(total):
+        # the sweep's rule: any non-finite window poisons all three values
+        # (the comparisons above silently drop NaN)
+        total = vmin = vmax = math.nan
     result = Pattern3Result(
         ssim=total / count,
         min_window_ssim=vmin,

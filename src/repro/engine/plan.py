@@ -408,7 +408,7 @@ def build_plan(
             PlanStep(
                 kind="pattern1",
                 metrics=tuple(by_pattern[1]),
-                consumes=("err", "sq_err", "pwr_vals"),
+                consumes=("err", "pwr_vals"),
                 produces=("err_moments", "value_range"),
             )
         )
@@ -423,9 +423,14 @@ def build_plan(
                      consumes=consumes)
         )
     if by_pattern[3]:
+        # the SSIM sweep reads the raw pair slab by slab; the value range
+        # comes from the pattern-1 moments when that step runs
+        consumes = ("orig", "dec")
+        if by_pattern[1]:
+            consumes += ("value_range",)
         steps.append(
             PlanStep(kind="pattern3", metrics=tuple(by_pattern[3]),
-                     consumes=("o64", "d64"))
+                     consumes=consumes)
         )
     if aux:
         steps.append(

@@ -5,8 +5,7 @@ pair once from global memory and feed every reduction from registers and
 shared memory (Fig. 3, Algorithms 1-2).  The whole-array host path (PR 1)
 fuses *logically* — one :class:`~repro.core.workspace.MetricWorkspace`
 feeds every consumer — but still materialises full-size intermediates
-(``err``, ``sq_err``, the element products), so each assessment makes
-many DRAM-sized passes and peak memory is several× the input.
+(the float64 views and ``err``), so peak memory is several× the input.
 
 This module is the cache-blocked analogue of the kernel design:
 
@@ -43,7 +42,12 @@ import numpy as np
 from repro.core.workspace import ScratchPool, histogram_pdf
 from repro.errors import CheckerError, ConfigError, ShapeError
 from repro.kernels.pattern1 import Pattern1Result, result_from_sums
-from repro.kernels.pattern2 import Pattern2Result, stencil_fields_local
+from repro.kernels.pattern2 import (
+    Pattern2Result,
+    add_stencil_partials,
+    finalize_stencil_partials,
+    new_stencil_partials,
+)
 from repro.metrics.derivatives import DerivativeComparison
 from repro.metrics.error_stats import Pdf
 from repro.metrics.properties import DEFAULT_ENTROPY_BINS
@@ -197,11 +201,7 @@ class TileAccumulator:
         else:
             self._carry = self._spare = None
 
-        self._deriv = {
-            w: {"sum_abs_o": 0.0, "sum_abs_d": 0.0, "sum_sq_diff": 0.0,
-                "max_diff": 0.0, "count": 0}
-            for w in self.deriv_whichs
-        }
+        self._deriv = new_stencil_partials(self.deriv_whichs)
 
     # -- sweep-1 ingestion -------------------------------------------------
 
@@ -282,26 +282,11 @@ class TileAccumulator:
         self.ac_b[tau] += float(sz.sum()) + float(sy.sum()) + float(sx.sum())
         self.ac_n[tau] += c.size
 
-    def add_deriv_local(self, local_o64: np.ndarray, local_d64: np.ndarray) -> None:
+    def add_deriv_local(
+        self, local_o64: np.ndarray, local_d64: np.ndarray, pool: ScratchPool
+    ) -> None:
         """Accumulate stencil comparisons from one ±1-haloed local block."""
-        fo_all = stencil_fields_local(local_o64)
-        fd_all = stencil_fields_local(local_d64)
-        for w in self.deriv_whichs:
-            fo, fd = fo_all[w], fd_all[w]
-            if fo.size == 0:
-                continue
-            a = self._deriv[w]
-            diff = fd - fo
-            if w < 2:
-                # sqrt-magnitude outputs are already non-negative
-                a["sum_abs_o"] += float(fo.sum())
-                a["sum_abs_d"] += float(fd.sum())
-            else:
-                a["sum_abs_o"] += float(np.abs(fo).sum())
-                a["sum_abs_d"] += float(np.abs(fd).sum())
-            a["sum_sq_diff"] += float((diff * diff).sum())
-            a["max_diff"] = max(a["max_diff"], float(np.abs(diff).max()))
-            a["count"] += fo.size
+        add_stencil_partials(self._deriv, local_o64, local_d64, pool)
 
     # -- finalisation ------------------------------------------------------
 
@@ -344,18 +329,7 @@ class TileAccumulator:
         return out
 
     def finalize_derivatives(self) -> dict[int, DerivativeComparison]:
-        out: dict[int, DerivativeComparison] = {}
-        for w in self.deriv_whichs:
-            a = self._deriv[w]
-            if a["count"] == 0:
-                raise ShapeError("field too small for the pattern-2 stencil")
-            out[w] = DerivativeComparison(
-                mean_orig=a["sum_abs_o"] / a["count"],
-                mean_dec=a["sum_abs_d"] / a["count"],
-                rms_diff=math.sqrt(a["sum_sq_diff"] / a["count"]),
-                max_diff=a["max_diff"],
-            )
-        return out
+        return finalize_stencil_partials(self._deriv)
 
     # -- checkpoint/resume -------------------------------------------------
 
@@ -551,6 +525,7 @@ class TiledAssessment:
                     self.acc.add_deriv_local(
                         ob[lo - 1 - a0 : hi + 1 - a0],
                         db[lo - 1 - a0 : hi + 1 - a0],
+                        self.scratch,
                     )
             self._count_slab(a1 - a0, z1 - z0)
         self._swept = True

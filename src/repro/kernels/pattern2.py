@@ -32,10 +32,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.gpusim.counters import KernelStats
-from repro.metrics.derivatives import (
-    DerivativeComparison,
-    field_comparison,
-)
+from repro.metrics.derivatives import DerivativeComparison
 
 __all__ = [
     "Pattern2Config",
@@ -43,6 +40,9 @@ __all__ = [
     "plan_pattern2",
     "execute_pattern2",
     "stencil_fields_local",
+    "new_stencil_partials",
+    "add_stencil_partials",
+    "finalize_stencil_partials",
     "TILE",
     "TILE_Z",
 ]
@@ -212,113 +212,110 @@ def _slab_ranges(nz: int) -> list[tuple[int, int]]:
     return [(z0, min(z0 + TILE_Z, nz)) for z0 in range(0, nz, TILE_Z)]
 
 
+#: interior-shaped float64 buffers one :func:`stencil_fields_local` call
+#: works in: the four output fields plus four temporaries
+STENCIL_BUFFERS = 8
+
+
 def stencil_fields_local(
-    local: np.ndarray,
+    local: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(grad magnitude, 2nd-deriv magnitude, divergence, laplacian) of the
-    interior of one ±1-haloed local block — the maths a thread block runs
-    on its staged shared-memory cube.  Shared with the tiled executor,
-    which feeds slab-sized copies instead of whole-array views."""
-    c = local[1:-1, 1:-1, 1:-1]
-    dz = (local[2:, 1:-1, 1:-1] - local[:-2, 1:-1, 1:-1]) / 2.0
-    dy = (local[1:-1, 2:, 1:-1] - local[1:-1, :-2, 1:-1]) / 2.0
-    dx = (local[1:-1, 1:-1, 2:] - local[1:-1, 1:-1, :-2]) / 2.0
-    dzz = local[2:, 1:-1, 1:-1] - 2 * c + local[:-2, 1:-1, 1:-1]
-    dyy = local[1:-1, 2:, 1:-1] - 2 * c + local[1:-1, :-2, 1:-1]
-    dxx = local[1:-1, 1:-1, 2:] - 2 * c + local[1:-1, 1:-1, :-2]
-    grad = np.sqrt(dx * dx + dy * dy + dz * dz)
-    der2 = np.sqrt(dxx * dxx + dyy * dyy + dzz * dzz)
-    return grad, der2, dz + dy + dx, dzz + dyy + dxx
+    interior of one ±1-haloed float64 block — the maths a thread block
+    runs on its staged shared-memory cube.
 
-
-def _slab_stencil_fields(
-    f: np.ndarray, z0: int, z1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stencil fields for the interior rows slab ``[z0, z1)`` owns,
-    computed from a haloed view of the whole array."""
-    nz = f.shape[0]
-    lo = max(z0, 1)
-    hi = min(z1, nz - 1)
-    if lo >= hi:
-        empty = np.zeros((0, f.shape[1] - 2, f.shape[2] - 2))
-        return empty, empty, empty, empty
-    return stencil_fields_local(f[lo - 1 : hi + 1])
-
-
-def _blocked_field_comparison(
-    o64: np.ndarray, d64: np.ndarray, which: int
-) -> DerivativeComparison:
-    """Slab-blocked comparison of one derived field across both inputs.
-
-    ``which`` selects the field from :func:`_slab_stencil_fields`.
-    Aggregates per-slab partial sums then performs the grid-level merge —
-    mirroring the in-kernel reduce of Algorithm 2.
+    Everything is written into ``out``, a ``(STENCIL_BUFFERS, rows, ny-2,
+    nx-2)`` scratch array: the fields are ``out[:4]``, the rest is working
+    storage.  Each element sees the same operations in the same order
+    whatever the block depth, so a field value does not depend on how the
+    volume is cut into blocks.
     """
-    nz = o64.shape[0]
-    sum_abs_o = sum_abs_d = sum_sq_diff = 0.0
-    max_diff = 0.0
-    count = 0
-    for z0, z1 in _slab_ranges(nz):
-        fo = _slab_stencil_fields(o64, z0, z1)[which]
-        fd = _slab_stencil_fields(d64, z0, z1)[which]
-        if fo.size == 0:
-            continue
-        diff = fd - fo
-        sum_abs_o += float(np.abs(fo).sum())
-        sum_abs_d += float(np.abs(fd).sum())
-        sum_sq_diff += float((diff * diff).sum())
-        max_diff = max(max_diff, float(np.abs(diff).max()))
-        count += fo.size
-    if count == 0:
-        raise ShapeError("field too small for the pattern-2 stencil")
-    return DerivativeComparison(
-        mean_orig=sum_abs_o / count,
-        mean_dec=sum_abs_d / count,
-        rms_diff=math.sqrt(sum_sq_diff / count),
-        max_diff=max_diff,
+    grad, der2, div, lap, dz, dy, dx, tmp = out
+    c = local[1:-1, 1:-1, 1:-1]
+    lo_hi = (
+        (dz, local[:-2, 1:-1, 1:-1], local[2:, 1:-1, 1:-1]),
+        (dy, local[1:-1, :-2, 1:-1], local[1:-1, 2:, 1:-1]),
+        (dx, local[1:-1, 1:-1, :-2], local[1:-1, 1:-1, 2:]),
     )
 
+    def magnitude(dst):
+        np.multiply(dx, dx, out=dst)
+        np.multiply(dy, dy, out=tmp)
+        np.add(dst, tmp, out=dst)
+        np.multiply(dz, dz, out=tmp)
+        np.add(dst, tmp, out=dst)
+        np.sqrt(dst, out=dst)
 
-def _blocked_field_comparisons_fused(
-    o64: np.ndarray, d64: np.ndarray, whichs: tuple[int, ...]
-) -> dict[int, DerivativeComparison]:
-    """One slab pass feeding every requested derived-field comparison.
+    for d, lo, hi in lo_hi:  # central first differences
+        np.subtract(hi, lo, out=d)
+        np.multiply(d, 0.5, out=d)  # == d / 2.0 bit for bit
+    magnitude(grad)
+    np.add(dz, dy, out=div)
+    np.add(div, dx, out=div)
+    np.multiply(c, 2, out=tmp)
+    for d, lo, hi in lo_hi:  # second differences hi - 2c + lo
+        np.subtract(hi, tmp, out=d)
+        np.add(d, lo, out=d)
+    magnitude(der2)
+    np.add(dz, dy, out=lap)
+    np.add(lap, dx, out=lap)
+    return grad, der2, div, lap
 
-    The fused counterpart of :func:`_blocked_field_comparison`: each slab's
-    staged cube is evaluated once per input and the resulting stencil
-    fields feed all comparisons, instead of re-staging the slab for every
-    ``which``.  Per-``which`` accumulation visits slabs in the same order
-    as the unfused path, so results are bit-identical.
-    """
-    nz = o64.shape[0]
-    acc = {
+
+def new_stencil_partials(whichs: tuple[int, ...]) -> dict[int, dict]:
+    """Zeroed comparison partial sums per derived field ``which``
+    (0=grad, 1=2nd-deriv magnitude, 2=divergence, 3=laplacian)."""
+    return {
         w: {"sum_abs_o": 0.0, "sum_abs_d": 0.0, "sum_sq_diff": 0.0,
             "max_diff": 0.0, "count": 0}
         for w in whichs
     }
-    for z0, z1 in _slab_ranges(nz):
-        fo_all = _slab_stencil_fields(o64, z0, z1)
-        fd_all = _slab_stencil_fields(d64, z0, z1)
-        for w in whichs:
+
+
+def add_stencil_partials(
+    acc: dict[int, dict], local_o: np.ndarray, local_d: np.ndarray, pool
+) -> None:
+    """Accumulate the comparisons of ``acc``'s stencil fields over the
+    interior of a ±1-haloed float64 block pair.
+
+    The block is walked in cache-sized sub-slabs whose sixteen stencil
+    buffers are carved from ``pool``'s arena: each sub-slab is staged once
+    per input and feeds every requested comparison while it is hot — the
+    in-kernel reduce of Algorithm 2.
+    """
+    rows = local_o.shape[0] - 2
+    plane = (local_o.shape[1] - 2, local_o.shape[2] - 2)
+    if rows < 1 or min(plane) < 1:
+        return
+    depth = pool.sweep_depth = pool.slab_depth(local_o.shape)
+    buffers = (STENCIL_BUFFERS, depth, *plane)
+    bo, bd = pool.carve(buffers, buffers)
+    for r0 in range(0, rows, depth):
+        n = min(depth, rows - r0)
+        fo_all = stencil_fields_local(local_o[r0 : r0 + n + 2], bo[:, :n])
+        fd_all = stencil_fields_local(local_d[r0 : r0 + n + 2], bd[:, :n])
+        tmp = bo[-1, :n]  # the stencil's temporary is free again
+        for w, a in acc.items():
             fo, fd = fo_all[w], fd_all[w]
-            if fo.size == 0:
-                continue
-            a = acc[w]
-            diff = fd - fo
             if w < 2:
                 # gradient/2nd-derivative magnitudes are sqrt outputs —
-                # already non-negative, abs would be an extra full pass
+                # already non-negative, abs would be an extra pass
                 a["sum_abs_o"] += float(fo.sum())
                 a["sum_abs_d"] += float(fd.sum())
             else:
-                a["sum_abs_o"] += float(np.abs(fo).sum())
-                a["sum_abs_d"] += float(np.abs(fd).sum())
-            a["sum_sq_diff"] += float((diff * diff).sum())
-            a["max_diff"] = max(a["max_diff"], float(np.abs(diff).max()))
+                a["sum_abs_o"] += float(np.abs(fo, out=tmp).sum())
+                a["sum_abs_d"] += float(np.abs(fd, out=tmp).sum())
+            np.subtract(fd, fo, out=tmp)
+            np.abs(tmp, out=tmp)
+            a["max_diff"] = max(a["max_diff"], float(tmp.max()))
+            a["sum_sq_diff"] += float(np.multiply(tmp, tmp, out=tmp).sum())
             a["count"] += fo.size
+
+
+def finalize_stencil_partials(acc: dict[int, dict]) -> dict[int, DerivativeComparison]:
+    """The grid-level merge of :func:`add_stencil_partials` sums."""
     out: dict[int, DerivativeComparison] = {}
-    for w in whichs:
-        a = acc[w]
+    for w, a in acc.items():
         if a["count"] == 0:
             raise ShapeError("field too small for the pattern-2 stencil")
         out[w] = DerivativeComparison(
@@ -328,6 +325,16 @@ def _blocked_field_comparisons_fused(
             max_diff=a["max_diff"],
         )
     return out
+
+
+def _field_comparisons(
+    o64: np.ndarray, d64: np.ndarray, whichs: tuple[int, ...], pool
+) -> dict[int, DerivativeComparison]:
+    """One sub-slab sweep feeding every derived-field comparison in
+    ``whichs`` (the unfused path calls it once per field instead)."""
+    acc = new_stencil_partials(whichs)
+    add_stencil_partials(acc, o64, d64, pool)
+    return finalize_stencil_partials(acc)
 
 
 def _blocked_autocorr(
@@ -405,7 +412,7 @@ def execute_pattern2(
     ``err_mean``/``err_var`` may be supplied from a pattern-1 run (the
     coordinator's cross-pattern reuse); otherwise they are computed here.
     With a :class:`~repro.core.workspace.MetricWorkspace`, the cached
-    float64 views and error array are reused and each slab's stencil
+    float64 views and error array are reused and each sub-slab's stencil
     fields are computed once for all comparisons.
     """
     config = config or Pattern2Config()
@@ -414,7 +421,11 @@ def execute_pattern2(
         config.validate(shape)
         o64, d64 = workspace.o64, workspace.d64
         e = workspace.err
+        pool = workspace.scratch
     else:
+        # imported here: repro.core imports the kernels' config classes
+        from repro.core.workspace import default_scratch_pool
+
         orig = np.asarray(orig)
         dec = np.asarray(dec)
         if orig.shape != dec.shape:
@@ -424,24 +435,23 @@ def execute_pattern2(
         o64 = orig.astype(np.float64)
         d64 = dec.astype(np.float64)
         e = None
+        pool = default_scratch_pool()
 
-    der1 = der2 = div = lap = None
+    whichs: tuple[int, ...] = ()
+    if 1 in config.orders:
+        whichs += (0, 2)
+    if 2 in config.orders:
+        whichs += (1, 3)
     if workspace is not None:
-        whichs: tuple[int, ...] = ()
-        if 1 in config.orders:
-            whichs += (0, 2)
-        if 2 in config.orders:
-            whichs += (1, 3)
-        cmp = _blocked_field_comparisons_fused(o64, d64, whichs)
-        der1, div = cmp.get(0), cmp.get(2)
-        der2, lap = cmp.get(1), cmp.get(3)
+        cmp = _field_comparisons(o64, d64, whichs, pool)
     else:
-        if 1 in config.orders:
-            der1 = _blocked_field_comparison(o64, d64, 0)
-            div = _blocked_field_comparison(o64, d64, 2)
-        if 2 in config.orders:
-            der2 = _blocked_field_comparison(o64, d64, 1)
-            lap = _blocked_field_comparison(o64, d64, 3)
+        # the per-metric discipline moZC models: every comparison
+        # re-stages the volume for itself
+        cmp = {}
+        for w in whichs:
+            cmp.update(_field_comparisons(o64, d64, (w,), pool))
+    der1, div = cmp.get(0), cmp.get(2)
+    der2, lap = cmp.get(1), cmp.get(3)
 
     if e is None:
         e = d64 - o64

@@ -12,11 +12,13 @@ is collapsed into the full 3-D window statistics and the local SSIM is
 emitted.  Each z-slice is therefore read from global memory exactly once
 — the data-sharing property the paper's Section III-C3 highlights.
 
-The functional execution mirrors this dataflow: a per-slice 2-D window
-reduction (the vectorised equivalent of the x-shuffles + y-smem stage)
-feeds a real :class:`~repro.gpusim.memory.SmemFifo`, and local SSIMs are
-produced only from FIFO reductions.  Results equal the independent
-:func:`repro.metrics.ssim.ssim3d` reference (asserted in tests).
+The functional execution (:func:`ssim_sweep`) is that dataflow on the
+host: per z-slab, the slices' 2-D window sums (shifted adds — the
+vectorised x-shuffles + y-smem stage) are pushed into a ring, the z
+window slides over the ring by *add newest / subtract oldest*, and local
+SSIMs are produced only from ring reductions.  Results equal the
+independent :func:`repro.metrics.ssim.ssim3d` / ``ssim3d_naive``
+references within the tolerances of ``tests/property/test_property_sweep.py``.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.gpusim.counters import KernelStats
-from repro.gpusim.memory import SmemFifo
-from repro.metrics.ssim import SsimConfig, SsimResult, box_sums, window_positions
+from repro.metrics.ssim import SsimConfig, SsimResult, window_positions
 
 __all__ = [
     "Pattern3Config",
     "Pattern3Result",
     "plan_pattern3",
     "execute_pattern3",
+    "ssim_sweep",
     "LANES",
     "YROWS",
 ]
@@ -236,7 +238,9 @@ def plan_pattern3(
 
 
 def _box_sums2d(a: np.ndarray, window: int, step: int) -> np.ndarray:
-    """2-D windowed sums over (y, x) — the x-shuffle + y-smem stage."""
+    """2-D windowed sums over (y, x) by summed-area table — the slice stage
+    :class:`~repro.core.streaming.StreamingChecker` keeps, so its FIFO
+    state (and every audit checkpoint) stays what it was."""
     ny, nx = a.shape
     sat = np.zeros((ny + 1, nx + 1), dtype=np.float64)
     sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
@@ -249,46 +253,226 @@ def _box_sums2d(a: np.ndarray, window: int, step: int) -> np.ndarray:
     return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
 
 
-def _execute_fused(workspace, config: Pattern3Config) -> Pattern3Result:
-    """Sliding-sum SSIM over the workspace's cached element products.
+def _window_sum_buffers(w: int) -> int:
+    """Same-shaped buffers (the input included) :func:`_window_sums_yx`
+    ping-pongs through for window ``w``: two, or three when ``w`` is not
+    a power of two — the input then feeds every +1 pass and cannot
+    double as a target."""
+    return 3 if w & (w - 1) else 2
 
-    The summed-volume tables make every window statistic O(1) regardless
-    of window size, and the ``o²``/``d²``/``o·d`` products are read from
-    the shared workspace instead of being rebuilt per slice.
+
+def _window_sums_yx(bufs, w, step, out):
+    """Sums over ``w`` x ``w`` windows of the last two axes of ``bufs[0]``
+    at every ``step``-th origin — y, then x — written to ``out``.
+
+    Each axis is summed by shifted adds: doubling ``S_2m[i] = S_m[i] +
+    S_m[i+m]`` reaches a power-of-two window in ``log2(w)`` passes; other
+    windows take the binary decomposition of ``w`` most-significant bit
+    first (``S_{m+1}[i] = S_m[i] + src[i+m]`` after the doubling of every
+    set bit — square-and-multiply).  Each pass is one ``np.add(...,
+    out=)`` over views — no ``cumsum``, no temporaries — and the last
+    computes only the on-step origins.
+
+    ``bufs`` are :func:`_window_sum_buffers` same-shaped buffers, the
+    first holding the input; the passes ping-pong through them and all
+    are clobbered.
+    """
+    assert len(bufs) == _window_sum_buffers(w)
+    bits = bin(w)[3:]
+    passes = []  # (doubling?, shift)
+    m = 1
+    for bit in bits:
+        passes.append((True, m))
+        m *= 2
+        if bit == "1":
+            passes.append((False, m))
+            m += 1
+
+    def along(axis, src, free, out=None):
+        """One axis of ``src`` through the other (``free``) buffers; the sums
+        go to ``out``, else into whichever buffer ends up free.  Returns
+        ``(sums, holder)`` — ``holder`` is that buffer (or None)."""
+
+        def cut(a, lo, hi, st=1):
+            index = [slice(None)] * a.ndim
+            index[axis] = slice(lo, hi, st)
+            return a[tuple(index)]
+
+        n = src.shape[axis]
+        if not passes:  # w == 1
+            sums = cut(src, 0, n, step)
+            if out is not None:
+                np.copyto(out, sums)
+            return sums, src
+        free = list(free)
+        cur = src
+        for doubling, m in passes[:-1]:
+            valid = n - (2 * m if doubling else m + 1) + 1
+            if doubling:
+                dst = free.pop()
+                np.add(cut(cur, 0, valid), cut(cur, m, m + valid), out=cut(dst, 0, valid))
+                # with two buffers (no +1 pass will read it again) the
+                # input is a target like the other
+                if cur is not src or len(bufs) == 2:
+                    free.append(cur)
+                cur = dst
+            else:
+                np.add(cut(cur, 0, valid), cut(src, m, m + valid), out=cut(cur, 0, valid))
+        doubling, m = passes[-1]
+        valid = n - w + 1
+        holder = None
+        if out is None:
+            holder = free.pop()
+            out = cut(holder, 0, window_positions(n, w, step))
+        np.add(
+            cut(cur, 0, valid, step),
+            cut(cur if doubling else src, m, m + valid, step),
+            out=out,
+        )
+        return out, holder
+
+    src = bufs[0]
+    ysums, holder = along(src.ndim - 2, src, bufs[1:])
+    py = ysums.shape[-2]
+    rest = [buf[..., :py, :] for buf in bufs if buf is not holder]
+    along(src.ndim - 1, ysums, rest, out=out)
+
+
+def ssim_sweep(
+    orig: np.ndarray,
+    dec: np.ndarray,
+    config: Pattern3Config,
+    dynamic_range: float,
+    pool,
+    slab_depth: int | None = None,
+) -> Pattern3Result:
+    """The paper's FIFO dataflow (Alg. 3) as one z-slab sweep.
+
+    Per slab of ``slab_depth`` slices, read once from ``orig``/``dec``::
+
+        o, d -> [o, d, o², d², o·d] -> y sums -> x sums -> ring
+                (shifted adds, out=)               (w + depth slots)
+        per slice:  run += newest - oldest     (exact re-sum every w)
+        per slab:   SSIM mix of the finished windows, in place;
+                    per-slice sum/min/max of the local SSIMs
+
+    The z window is kept as *add newest / subtract oldest* over the ring
+    and rebuilt exactly from its ``w`` slots every ``w`` slices, so no
+    sum ever accumulates more than ``w`` terms per axis and a non-finite
+    slice cannot outlive its windows.  Every per-slice value is formed by
+    the same element-wise passes whatever the slab depth, so the result
+    does not depend on it (``slab_depth`` exists for the seam tests).
+    All buffers are carved from ``pool``'s arena.
+
+    Any non-finite window makes ``ssim`` and both extrema NaN.
     """
     w, step = config.window, config.step
-    if config.dynamic_range is not None:
-        L = float(config.dynamic_range)
-    else:
-        m = workspace.moments
-        L = m["max_o"] - m["min_o"]
+    nz, ny, nx = orig.shape
+    py = window_positions(ny, w, step)
+    px = window_positions(nx, w, step)
+    pz = window_positions(nz, w, step)
+    if min(pz, py, px) == 0:
+        raise ShapeError("no complete SSIM window fits the data")
+    L = float(dynamic_range)
     if L <= 0.0:
         L = 1.0
     c1 = (config.k1 * L) ** 2
     c2 = (config.k2 * L) ** 2
     volume = float(w**3)
 
-    s1 = box_sums(workspace.o64, w, step)
-    s2 = box_sums(workspace.d64, w, step)
-    sq1 = box_sums(workspace.o_sq, w, step)
-    sq2 = box_sums(workspace.d_sq, w, step)
-    s12 = box_sums(workspace.od, w, step)
-    if s1.size == 0:
-        raise ShapeError("no complete SSIM window fits the data")
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-    local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    depth = pool.sweep_depth = min(slab_depth or pool.slab_depth(orig.shape), nz)
+    slots = w + depth
+    slab = (N_WINDOW_ACCUMS, depth, ny, nx)
+    sums_slab = (N_WINDOW_ACCUMS, depth, py, px)
+    *bufs, ring, runs, mix = pool.carve(
+        *[slab] * _window_sum_buffers(w),
+        (N_WINDOW_ACCUMS, slots, py, px), sums_slab, sums_slab,
     )
+    sums = np.empty(pz)
+    mins = np.empty(pz)
+    maxs = np.empty(pz)
+
+    done = 0  # finished window slices
+    prev = None  # the running z-window sums of the latest slice
+    z = 0
+    while z < nz:
+        # a slab never wraps around the ring, so its slices land in
+        # consecutive slots with one write
+        n = min(depth, nz - z, slots - z % slots)
+        slabs = [b[:, :n] for b in bufs]
+        s = slabs[0]
+        np.copyto(s[0], orig[z : z + n])
+        np.copyto(s[1], dec[z : z + n])
+        np.multiply(s[0], s[0], out=s[2])
+        np.multiply(s[1], s[1], out=s[3])
+        np.multiply(s[0], s[1], out=s[4])
+        first = z % slots
+        _window_sums_yx(slabs, w, step, out=ring[:, first : first + n])
+
+        j0 = None  # first slice of the slab that finishes an on-step window
+        for j in range(n):
+            k = z + j
+            if k < w - 1:
+                continue
+            cur = runs[:, j]
+            if (k + 1) % w == 0:
+                lo = k - w + 1
+                np.copyto(cur, ring[:, lo % slots])
+                for i in range(lo + 1, k + 1):
+                    np.add(cur, ring[:, i % slots], out=cur)
+            else:
+                np.subtract(prev, ring[:, (k - w) % slots], out=cur)
+                np.add(cur, ring[:, k % slots], out=cur)
+            prev = cur
+            if j0 is None and (k - w + 1) % step == 0:
+                j0 = j
+        z += n
+        if j0 is None:
+            continue
+
+        # the SSIM mix of ``ssim3d``, operation for operation, over the
+        # slab's finished window slices in five temporaries
+        s1, s2, sq1, sq2, s12 = runs[:, j0:n:step]
+        t = mix[:, : s1.shape[0]]
+        mu1 = np.divide(s1, volume, out=t[0])
+        mu2 = np.divide(s2, volume, out=t[1])
+        num = np.multiply(mu1, mu2, out=t[2])
+        cov = np.divide(s12, volume, out=t[3])
+        np.subtract(cov, num, out=cov)
+        np.multiply(cov, 2.0, out=cov)
+        np.add(cov, c2, out=cov)
+        np.multiply(num, 2.0, out=num)
+        np.add(num, c1, out=num)
+        np.multiply(num, cov, out=num)
+        np.multiply(mu1, mu1, out=mu1)
+        np.multiply(mu2, mu2, out=mu2)
+        var1 = np.divide(sq1, volume, out=t[3])
+        np.subtract(var1, mu1, out=var1)
+        np.maximum(var1, 0.0, out=var1)
+        var2 = np.divide(sq2, volume, out=t[4])
+        np.subtract(var2, mu2, out=var2)
+        np.maximum(var2, 0.0, out=var2)
+        np.add(var1, var2, out=var1)
+        np.add(var1, c2, out=var1)
+        np.add(mu1, mu2, out=mu1)
+        np.add(mu1, c1, out=mu1)
+        np.multiply(mu1, var1, out=mu1)
+        local = np.divide(num, mu1, out=num).reshape(num.shape[0], -1)
+        out = slice(done, done + local.shape[0])
+        local.sum(axis=1, out=sums[out])
+        local.min(axis=1, out=mins[out])
+        local.max(axis=1, out=maxs[out])
+        done = out.stop
+
+    n_windows = pz * py * px
+    total = float(sums.sum())
+    if not math.isfinite(total):
+        return Pattern3Result(math.nan, math.nan, math.nan, n_windows)
     return Pattern3Result(
-        ssim=float(local.mean()),
-        min_window_ssim=float(local.min()),
-        max_window_ssim=float(local.max()),
-        n_windows=int(local.size),
+        ssim=total / n_windows,
+        min_window_ssim=float(mins.min()),
+        max_window_ssim=float(maxs.max()),
+        n_windows=n_windows,
     )
 
 
@@ -298,81 +482,31 @@ def execute_pattern3(
     config: Pattern3Config | None = None,
     workspace=None,
 ) -> tuple[Pattern3Result, KernelStats]:
-    """Functional FIFO-buffered SSIM kernel.
+    """Functional FIFO-buffered SSIM kernel: one :func:`ssim_sweep`.
 
-    With a :class:`~repro.core.workspace.MetricWorkspace`, the sliding-sum
-    fast path replaces the per-slice FIFO walk (same result, asserted in
-    tests); the modelled :func:`plan_pattern3` cost is unchanged.
+    A :class:`~repro.core.workspace.MetricWorkspace` only contributes its
+    scratch pool and the value range it already reduced; the sweep reads
+    the raw pair either way, so the workspace, standalone
+    (``metric-oriented``) and tiled-fallback paths return identical
+    values.  The modelled :func:`plan_pattern3` cost is unchanged.
     """
     config = config or Pattern3Config()
     if workspace is not None:
-        nz, ny, nx = _shape3d(workspace.shape)
-        config.validate((nz, ny, nx))
-        return _execute_fused(workspace, config), plan_pattern3(
-            workspace.shape, config
-        )
+        orig, dec, pool = workspace.orig, workspace.dec, workspace.scratch
+    else:
+        # imported here: repro.core imports the kernels' config classes
+        from repro.core.workspace import default_scratch_pool
+
+        pool = default_scratch_pool()
     orig = np.asarray(orig)
     dec = np.asarray(dec)
     if orig.shape != dec.shape:
         raise ShapeError(f"shape mismatch: {orig.shape} vs {dec.shape}")
-    nz, ny, nx = _shape3d(orig.shape)
-    config.validate((nz, ny, nx))
-    o64 = orig.astype(np.float64)
-    d64 = dec.astype(np.float64)
-
-    w, step = config.window, config.step
+    config.validate(_shape3d(orig.shape))
     if config.dynamic_range is not None:
-        L = float(config.dynamic_range)
+        L = config.dynamic_range
+    elif workspace is not None:
+        L = workspace.value_range
     else:
-        L = float(o64.max() - o64.min())
-    if L <= 0.0:
-        L = 1.0
-    c1 = (config.k1 * L) ** 2
-    c2 = (config.k2 * L) ** 2
-    volume = float(w**3)
-
-    py = window_positions(ny, w, step)
-    px = window_positions(nx, w, step)
-    fifo = SmemFifo(depth=w, slot_shape=(N_WINDOW_ACCUMS, py, px))
-
-    total = 0.0
-    count = 0
-    vmin, vmax = math.inf, -math.inf
-    for k in range(nz):  # the kernel's z walk (Algorithm 3, ln. 6)
-        o = o64[k]
-        d = d64[k]
-        slot = np.stack(
-            [
-                _box_sums2d(o, w, step),
-                _box_sums2d(d, w, step),
-                _box_sums2d(o * o, w, step),
-                _box_sums2d(d * d, w, step),
-                _box_sums2d(o * d, w, step),
-            ]
-        )
-        fifo.push(k, slot)
-        # a window ends at slice k iff k >= w-1 and its origin is on-step
-        if k >= w - 1 and (k - w + 1) % step == 0:
-            s1, s2, sq1, sq2, s12 = fifo.reduce()
-            mu1 = s1 / volume
-            mu2 = s2 / volume
-            var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-            var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-            cov = s12 / volume - mu1 * mu2
-            local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-                (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-            )
-            total += float(local.sum())
-            count += local.size
-            vmin = min(vmin, float(local.min()))
-            vmax = max(vmax, float(local.max()))
-
-    if count == 0:
-        raise ShapeError("no complete SSIM window fits the data")
-    result = Pattern3Result(
-        ssim=total / count,
-        min_window_ssim=vmin,
-        max_window_ssim=vmax,
-        n_windows=count,
-    )
-    return result, plan_pattern3(orig.shape, config)
+        L = float(orig.max()) - float(orig.min())
+    return ssim_sweep(orig, dec, config, L, pool), plan_pattern3(orig.shape, config)

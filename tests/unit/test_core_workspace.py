@@ -96,7 +96,7 @@ class TestWorkspaceCaching:
     def test_arrays_materialised_once(self, noisy_pair):
         ws = MetricWorkspace(*noisy_pair)
         assert ws.err is ws.err
-        assert ws.sq_err is ws.sq_err
+        assert ws.d64 is ws.d64
         assert ws.o64 is ws.o64
         assert ws.moments is ws.moments
 
