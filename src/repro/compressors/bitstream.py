@@ -90,38 +90,56 @@ class BitReader:
         return len(self._data) * 8 - self._pos
 
 
-def pack_fixed_width(values: np.ndarray, width: int) -> bytes:
+def _word_dtype(width: int) -> str:
+    """Smallest little-endian unsigned dtype holding ``width`` bits."""
+    return "<u1" if width <= 8 else "<u2" if width <= 16 else "<u4" if width <= 32 else "<u8"
+
+
+def pack_fixed_width(values: np.ndarray, width: int):
     """Vectorised fixed-width packing of non-negative integers.
 
     Equivalent to writing each value with ``BitWriter.write(v, width)``;
-    used for the bulk payload of the fixed-rate codec.
+    used for the bulk payload of the fixed-rate codec.  A 1-D ``values``
+    gives ``bytes``; a 2-D one packs every row on its own in the same
+    pass and gives a ``(rows, ceil(width * count / 8))`` uint8 array whose
+    row ``i`` holds the bytes of ``pack_fixed_width(values[i], width)``.
     """
-    values = np.asarray(values, dtype=np.uint64)
+    values = np.asarray(values)
     if width < 0 or width > 64:
         raise ValueError("width must be within [0, 64]")
     if width == 0 or values.size == 0:
-        return b""
-    if values.size and int(values.max()) >> width:
+        return b"" if values.ndim == 1 else np.zeros((values.shape[0], 0), np.uint8)
+    if int(values.min()) < 0 or int(values.max()) >> width:
         raise CompressionError(f"value exceeds {width} bits")
-    # expand each value into `width` bits, LSB first, then pack
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+    # bit expansion in the byte domain, always along one long contiguous
+    # axis: every value's little-endian bytes -> their bits, LSB first ->
+    # the low `width` of each value -> packed rows
+    words = values.astype(_word_dtype(width))
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    bits = bits.reshape(*values.shape, 8 * words.itemsize)[..., :width]
+    packed = np.packbits(
+        bits.reshape(*values.shape[:-1], -1), axis=-1, bitorder="little"
+    )
+    return packed.tobytes() if values.ndim == 1 else packed
 
 
-def unpack_fixed_width(blob: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_fixed_width`."""
+def unpack_fixed_width(blob, width: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_fixed_width`: ``bytes`` -> ``(count,)``
+    uint64, or a ``(rows, nbytes)`` uint8 array -> ``(rows, count)``."""
     if width < 0 or width > 64:
         raise ValueError("width must be within [0, 64]")
+    rows = blob if isinstance(blob, np.ndarray) else np.frombuffer(blob, np.uint8)
     if width == 0 or count == 0:
-        return np.zeros(count, dtype=np.uint64)
+        return np.zeros((*rows.shape[:-1], count), dtype=np.uint64)
     need_bits = width * count
-    avail = len(blob) * 8
-    if avail < need_bits:
+    if rows.shape[-1] * 8 < need_bits:
         raise CompressionError("fixed-width payload too short")
-    bits = np.unpackbits(
-        np.frombuffer(blob, dtype=np.uint8), count=need_bits, bitorder="little"
+    bits = np.unpackbits(rows, axis=-1, count=need_bits, bitorder="little")
+    # each value's `width` bits, zero-padded to a whole word, -> words
+    dtype = np.dtype(_word_dtype(width))
+    padded = np.zeros((*rows.shape[:-1], count, 8 * dtype.itemsize), dtype=np.uint8)
+    padded[..., :width] = bits.reshape(*rows.shape[:-1], count, width)
+    words = np.packbits(
+        padded.reshape(*rows.shape[:-1], -1), axis=-1, bitorder="little"
     )
-    bits = bits.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits << shifts).sum(axis=1, dtype=np.uint64)
+    return words.view(dtype).astype(np.uint64)

@@ -22,6 +22,7 @@ contrast.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -83,12 +84,14 @@ def _frequency_groups() -> np.ndarray:
     return (f[:, None, None] + f[None, :, None] + f[None, None, :]).ravel()
 
 
+@functools.lru_cache(maxsize=64)
 def _coeff_widths(rate: float) -> np.ndarray:
     """Per-coefficient storage widths for a given rate (bits/value).
 
     The widths decrease with total frequency; ``wbase`` is the largest
     base width whose total fits the block budget (rate × 64 bits minus
-    the 16-bit block exponent header).
+    the 16-bit block exponent header).  Memoised per rate (every chunk
+    of an audit decodes at the same one); the array is read-only.
     """
     groups = _frequency_groups()
     budget = int(rate * _BLOCK**3) - 16
@@ -102,7 +105,19 @@ def _coeff_widths(rate: float) -> np.ndarray:
             break
     if best is None or int(best.sum()) == 0:
         raise CompressionError(f"rate {rate} leaves no bits for coefficients")
-    return best.astype(np.int64)
+    best = best.astype(np.int64)
+    best.flags.writeable = False
+    return best
+
+
+@functools.lru_cache(maxsize=64)
+def _width_groups(rate: float) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(width, columns)`` per distinct non-zero width of ``rate`` — at
+    most ten groups (one per total frequency), each packed in one pass."""
+    widths = _coeff_widths(rate)
+    return tuple(
+        (int(w), np.flatnonzero(widths == w)) for w in np.unique(widths) if w
+    )
 
 
 def _pad_to_blocks(data: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -183,18 +198,25 @@ class ZFPCompressor(Compressor):
         peak = int(np.abs(coeffs).max()) if coeffs.size else 0
         umax = min(max(peak.bit_length() + 1, 1), _UMAX)
         widths = self._widths
-        columns: list[bytes] = []
-        for j in range(coeffs.shape[1]):
-            w = int(widths[j])
-            if w == 0:
-                continue
-            drop = max(0, umax - w)
-            stored = (coeffs[:, j] >> drop) & ((1 << w) - 1)
-            columns.append(pack_fixed_width(stored.astype(np.uint64), w))
+        stored = coeffs >> np.maximum(0, umax - widths)
+        stored &= (1 << widths) - 1
+        stored = stored.T  # (64, nb)
 
-        payload = struct.pack("<Q", nb) + emax.astype("<i4").tobytes()
-        for col in columns:
-            payload += struct.pack("<I", len(col)) + col
+        # payload: u64 nb, i32 emax[nb], then per stored column (in
+        # coefficient order) a u32 byte length and its packed values;
+        # columns of one width have one length and are packed together
+        clen = -(-widths * nb // 8)
+        end = 8 + 4 * nb + np.cumsum(np.where(widths > 0, 4 + clen, 0))
+        first = end - clen - 4
+        out = np.empty(int(end[-1]), dtype=np.uint8)
+        out[:8].view("<u8")[0] = nb
+        out[8 : 8 + 4 * nb].view("<i4")[:] = emax
+        for w, cols in _width_groups(self.rate):
+            n = int(clen[cols[0]])
+            at = first[cols, None] + np.arange(4 + n)
+            out[at[:, :4]] = np.frombuffer(struct.pack("<I", n), dtype=np.uint8)
+            out[at[:, 4:]] = pack_fixed_width(stored[cols], w)
+        payload = out.tobytes()
 
         return CompressedBuffer(
             codec=self.name,
@@ -209,45 +231,62 @@ class ZFPCompressor(Compressor):
 
     def decompress(self, buf: CompressedBuffer) -> np.ndarray:
         self._check_codec(buf)
-        orig_shape = tuple(buf.meta["shape"])
+        orig_shape = tuple(int(s) for s in buf.meta["shape"])
         rate = float(buf.meta["rate"])
-        umax = int(buf.meta.get("umax", _UMAX))
         widths = _coeff_widths(rate)
-        blob = buf.payload
+        umax = int(buf.meta.get("umax", _UMAX))
+        blob = np.frombuffer(buf.payload, dtype=np.uint8)
 
-        (nb,) = struct.unpack("<Q", blob[:8])
-        off = 8
-        emax = np.frombuffer(blob[off : off + 4 * nb], dtype="<i4").astype(np.int32)
-        off += 4 * nb
+        # validate the whole layout before any bit is unpacked: a bad
+        # chunk must surface as CompressionError, not as a crash
+        if len(orig_shape) != 3 or min(orig_shape) < 1:
+            raise CompressionError(f"ZFP payload: bad shape {orig_shape}")
+        if not 1 <= umax <= _UMAX:
+            raise CompressionError(f"ZFP payload: umax {umax} outside [1, {_UMAX}]")
+        padded_shape = tuple(math.ceil(s / _BLOCK) * _BLOCK for s in orig_shape)
+        nb = math.prod(padded_shape) // _BLOCK**3
+        if blob.size < 8 + 4 * nb or struct.unpack_from("<Q", blob)[0] != nb:
+            raise CompressionError(
+                f"ZFP payload: header does not describe the {nb} blocks of "
+                f"shape {orig_shape}"
+            )
+        need = -(-widths * nb // 8)
+        start = np.zeros(_BLOCK**3, dtype=np.int64)
+        off = 8 + 4 * nb
+        for j in np.flatnonzero(widths):
+            if off + 4 > blob.size:
+                raise CompressionError(f"ZFP payload: truncated at column {j}")
+            (clen,) = struct.unpack_from("<I", blob, off)
+            if clen < need[j] or off + 4 + clen > blob.size:
+                raise CompressionError(
+                    f"ZFP payload: column {j} length {clen} does not fit "
+                    f"(needs {need[j]}, {blob.size - off - 4} left)"
+                )
+            start[j] = off + 4
+            off += 4 + clen
 
-        coeffs = np.zeros((nb, _BLOCK**3), dtype=np.int64)
-        for j in range(_BLOCK**3):
-            w = int(widths[j])
-            if w == 0:
-                continue
-            (clen,) = struct.unpack("<I", blob[off : off + 4])
-            off += 4
-            stored = unpack_fixed_width(blob[off : off + clen], w, nb)
-            off += clen
-            drop = max(0, umax - w)
-            # sign-extend the w-bit two's-complement value
-            signed = stored.astype(np.int64)
-            sign_bit = 1 << (w - 1)
-            signed = (signed ^ sign_bit) - sign_bit
-            # restore magnitude scale; add the dead-zone midpoint
-            restored = signed << drop
-            if drop > 0:
-                restored += np.where(signed != 0, 1 << (drop - 1), 0)
-            coeffs[:, j] = restored
+        emax = blob[8 : 8 + 4 * nb].view("<i4").astype(np.int32)
+        stored = np.zeros((_BLOCK**3, nb), dtype=np.int64)
+        for w, cols in _width_groups(rate):
+            rows = blob[start[cols, None] + np.arange(need[cols[0]])]
+            stored[cols] = unpack_fixed_width(rows, w, nb)
+        # sign-extend each w-bit two's-complement value, restore the
+        # magnitude scale and add the dead-zone midpoint — in place
+        sign = ((1 << widths) >> 1)[:, None]  # 2**(w-1); 0 for unstored columns
+        stored ^= sign
+        stored -= sign
+        drop = np.maximum(0, umax - widths)[:, None]
+        half = np.where(stored != 0, (1 << drop) >> 1, 0)
+        stored <<= drop
+        stored += half
 
-        ints = coeffs.reshape(nb, _BLOCK, _BLOCK, _BLOCK)
+        ints = stored.T.reshape(nb, _BLOCK, _BLOCK, _BLOCK)
         for axis in (3, 2, 1):
             ints = _inv_axis(ints, axis)
 
         scale = np.ldexp(1.0, _PRECISION - emax)
         blocks = ints.astype(np.float64) / scale[:, None, None, None]
 
-        padded_shape = tuple(math.ceil(s / _BLOCK) * _BLOCK for s in orig_shape)
         out = self._from_blocks(blocks, padded_shape)
         out = out[: orig_shape[0], : orig_shape[1], : orig_shape[2]]
         return out.astype(buf.meta.get("dtype", "float32"))

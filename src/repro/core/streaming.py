@@ -8,7 +8,8 @@ small carry buffer of trailing slices:
 
 * **pattern-1 metrics** — exact: the fused reductions are associative,
   so chunk accumulators merge like the multi-GPU merge;
-* **SSIM** — exact, via the same slice-FIFO the pattern-3 kernel uses;
+* **SSIM** — exact, via the slice stage and slice-FIFO of the pattern-3
+  kernel (one window-sum implementation for both), a chunk at a time;
   streaming requires a fixed ``dynamic_range`` in the
   :class:`~repro.kernels.pattern3.Pattern3Config` (the global range is
   unknowable mid-stream);
@@ -28,11 +29,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.workspace import ScratchPool, default_scratch_pool
 from repro.engine.tiling import TileAccumulator
 from repro.errors import CheckerError, ShapeError
 from repro.gpusim.memory import SmemFifo
 from repro.kernels.pattern1 import Pattern1Result, result_from_sums
-from repro.kernels.pattern3 import Pattern3Config, N_WINDOW_ACCUMS, _box_sums2d
+from repro.kernels.pattern3 import (
+    N_WINDOW_ACCUMS,
+    Pattern3Config,
+    _slab_window_sums,
+    _window_sum_buffers,
+)
 from repro.metrics.ssim import window_positions
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -172,11 +179,9 @@ class StreamingChecker:
         ):
             o64 = orig_chunk.astype(np.float64)
             d64 = dec_chunk.astype(np.float64)
-            z0 = self._z
             self._acc.add_block(o64, d64, d64 - o64)
             if self.ssim_config is not None:
-                for i in range(o64.shape[0]):
-                    self._ingest_ssim_slice(z0 + i, o64[i], d64[i])
+                self._ingest_ssim(self._z, o64, d64)
             self._z = self._acc.z
         self._chunk_index += 1
 
@@ -188,20 +193,32 @@ class StreamingChecker:
             return np.zeros((0, self.ny, self.nx))
         return carry
 
-    def _ingest_ssim_slice(self, k: int, o: np.ndarray, d: np.ndarray) -> None:
-        cfg = self.ssim_config
-        slot = np.stack(
-            [
-                _box_sums2d(o, cfg.window, cfg.step),
-                _box_sums2d(d, cfg.window, cfg.step),
-                _box_sums2d(o * o, cfg.window, cfg.step),
-                _box_sums2d(d * d, cfg.window, cfg.step),
-                _box_sums2d(o * d, cfg.window, cfg.step),
-            ]
+    def _ingest_ssim(self, z0: int, o64: np.ndarray, d64: np.ndarray) -> None:
+        """Alg. 3 over one chunk: the sweep's slice stage per slab, then
+        each slice's ``(5, py, px)`` sums into the ring and — when it
+        completes an on-step window — the ring reduction.
+
+        The per-slice sums do not depend on the slab or chunk depth (see
+        :func:`~repro.kernels.pattern3._slab_window_sums`), so any
+        chunking and any checkpoint/resume point give identical bits.
+        """
+        w, step = self.ssim_config.window, self.ssim_config.step
+        # as few slabs as the slab depth allows, all equally deep: a
+        # 4-slice chunk at slab depth 3 runs 2+2, not 3+1, out of a
+        # third less arena
+        cz = o64.shape[0]
+        depth = -(-cz // -(-cz // ScratchPool.slab_depth(o64.shape)))
+        bufs = default_scratch_pool().carve(
+            *[(N_WINDOW_ACCUMS, depth, self.ny, self.nx)] * _window_sum_buffers(w)
         )
-        self._fifo.push(k, slot)
-        if k >= cfg.window - 1 and (k - cfg.window + 1) % cfg.step == 0:
-            self._reduce_ssim_window()
+        for j0 in range(0, cz, depth):
+            sl = slice(j0, j0 + depth)
+            sums = _slab_window_sums(bufs, o64[sl], d64[sl], w, step)
+            for j in range(sums.shape[1]):
+                k = z0 + j0 + j
+                self._fifo.push(k, sums[:, j])
+                if k >= w - 1 and (k - w + 1) % step == 0:
+                    self._reduce_ssim_window()
 
     def _reduce_ssim_window(self) -> None:
         cfg = self.ssim_config

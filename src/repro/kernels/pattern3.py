@@ -237,22 +237,6 @@ def plan_pattern3(
 # ---------------------------------------------------------------------------
 
 
-def _box_sums2d(a: np.ndarray, window: int, step: int) -> np.ndarray:
-    """2-D windowed sums over (y, x) by summed-area table — the slice stage
-    :class:`~repro.core.streaming.StreamingChecker` keeps, so its FIFO
-    state (and every audit checkpoint) stays what it was."""
-    ny, nx = a.shape
-    sat = np.zeros((ny + 1, nx + 1), dtype=np.float64)
-    sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    py = window_positions(ny, window, step)
-    px = window_positions(nx, window, step)
-    iy = np.arange(py) * step
-    ix = np.arange(px) * step
-    y0, y1 = iy[:, None], iy[:, None] + window
-    x0, x1 = ix[None, :], ix[None, :] + window
-    return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
-
-
 def _window_sum_buffers(w: int) -> int:
     """Same-shaped buffers (the input included) :func:`_window_sums_yx`
     ping-pongs through for window ``w``: two, or three when ``w`` is not
@@ -261,9 +245,10 @@ def _window_sum_buffers(w: int) -> int:
     return 3 if w & (w - 1) else 2
 
 
-def _window_sums_yx(bufs, w, step, out):
+def _window_sums_yx(bufs, w, step, out=None):
     """Sums over ``w`` x ``w`` windows of the last two axes of ``bufs[0]``
-    at every ``step``-th origin — y, then x — written to ``out``.
+    at every ``step``-th origin — y, then x — written to ``out``, or left
+    in (a view of) whichever buffer ends up free; returns them.
 
     Each axis is summed by shifted adds: doubling ``S_2m[i] = S_m[i] +
     S_m[i+m]`` reaches a power-of-two window in ``log2(w)`` passes; other
@@ -335,7 +320,27 @@ def _window_sums_yx(bufs, w, step, out):
     ysums, holder = along(src.ndim - 2, src, bufs[1:])
     py = ysums.shape[-2]
     rest = [buf[..., :py, :] for buf in bufs if buf is not holder]
-    along(src.ndim - 1, ysums, rest, out=out)
+    return along(src.ndim - 1, ysums, rest, out=out)[0]
+
+
+def _slab_window_sums(bufs, orig, dec, w, step, out=None):
+    """The slice stage of Alg. 3 for one slab: ``n`` slices of
+    ``orig``/``dec`` (any real dtype) -> ``[o, d, o², d², o·d]`` ->
+    their 2-D window sums, ``(5, n, py, px)``.
+
+    ``bufs`` are :func:`_window_sum_buffers` buffers of shape ``(5,
+    depth >= n, ny, nx)``.  Every slice's sums come from the same
+    element-wise passes whatever ``n`` is — the whole-array sweep and
+    the streamed checker share them, at any slab or chunk depth.
+    """
+    slabs = [b[:, : orig.shape[0]] for b in bufs]
+    s = slabs[0]
+    np.copyto(s[0], orig)
+    np.copyto(s[1], dec)
+    np.multiply(s[0], s[0], out=s[2])
+    np.multiply(s[1], s[1], out=s[3])
+    np.multiply(s[0], s[1], out=s[4])
+    return _window_sums_yx(slabs, w, step, out=out)
 
 
 def ssim_sweep(
@@ -399,15 +404,9 @@ def ssim_sweep(
         # a slab never wraps around the ring, so its slices land in
         # consecutive slots with one write
         n = min(depth, nz - z, slots - z % slots)
-        slabs = [b[:, :n] for b in bufs]
-        s = slabs[0]
-        np.copyto(s[0], orig[z : z + n])
-        np.copyto(s[1], dec[z : z + n])
-        np.multiply(s[0], s[0], out=s[2])
-        np.multiply(s[1], s[1], out=s[3])
-        np.multiply(s[0], s[1], out=s[4])
         first = z % slots
-        _window_sums_yx(slabs, w, step, out=ring[:, first : first + n])
+        into = ring[:, first : first + n]
+        _slab_window_sums(bufs, orig[z : z + n], dec[z : z + n], w, step, out=into)
 
         j0 = None  # first slice of the slab that finishes an on-step window
         for j in range(n):

@@ -210,7 +210,8 @@ def execute_job(session, job: Job):
       ``shape`` (+ optional ``dtype``/``endian``): headerless raw pairs
       already on the server's filesystem;
     * **npy upload** — ``original_npy_b64`` + ``decompressed_npy_b64``:
-      base64-encoded ``.npy`` payloads carried in the JSON body;
+      base64-encoded ``.npy`` payloads carried in the JSON body (once
+      decoded, ``job.spec`` keeps only each payload's length);
     * **synthetic** — ``dataset`` (+ ``field``/``scale``/``codec``/
       ``rel_bound``/``rate``): generate a field, compress it with a
       registered codec, and assess the round trip;
@@ -253,8 +254,15 @@ def execute_job(session, job: Job):
             raise CheckerError(
                 "npy jobs need both original_npy_b64 and decompressed_npy_b64"
             )
-        orig = _decode_npy(spec["original_npy_b64"])
-        dec = _decode_npy(spec["decompressed_npy_b64"])
+        try:
+            orig = _decode_npy(spec["original_npy_b64"])
+            dec = _decode_npy(spec["decompressed_npy_b64"])
+        finally:
+            # the job table keeps every spec: retain each upload's size,
+            # not its base64 text (megabytes per job, decoded or not)
+            for key in ("original_npy_b64", "decompressed_npy_b64"):
+                if isinstance(spec[key], str):
+                    spec[key] = len(spec[key])
         return session.assess(
             orig, dec, name=f"job:{job.id}", job_id=job.id,
             config=config, tracer=job.tracer,

@@ -30,6 +30,7 @@ runs.
 from __future__ import annotations
 
 import secrets
+import sys
 import threading
 import time
 
@@ -125,9 +126,12 @@ class CheckerSession:
                 return
             self._state = "closed"
             self._checkers.clear()
-        from repro.parallel.executor import shutdown_pools
-
-        shutdown_pools(wait=wait)
+        # a pool can only exist if the executor module was ever imported;
+        # importing it here just to find none costs a serial CLI run the
+        # whole multiprocessing/concurrent.futures stack
+        executor = sys.modules.get("repro.parallel.executor")
+        if executor is not None:
+            executor.shutdown_pools(wait=wait)
         clear_scratch_pools()
 
     def __enter__(self) -> "CheckerSession":

@@ -1,6 +1,10 @@
 """CLI smoke tests: every subcommand via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,36 @@ class TestAnalyze:
             "--config", str(cfg),
         ])
         assert rc == 0
+
+    def test_serial_run_never_imports_the_parallel_stack(self, pair_files):
+        """``CheckerSession.close()`` shuts pools down only if the
+        executor module was ever loaded: a one-job serial CLI process
+        must end without multiprocessing / concurrent.futures (25 ms of
+        every cold start when close() imported them to find no pool)."""
+        a, b, shape = pair_files
+        code = (
+            "import json, runpy, sys\n"
+            f"sys.argv = ['cuzchecker', 'analyze', {str(a)!r}, {str(b)!r}, "
+            f"'--shape', {','.join(map(str, shape))!r}, '--executor', 'serial']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "heavy = ('multiprocessing', 'concurrent.futures', "
+            "'repro.parallel.executor')\n"
+            "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "psnr" in proc.stdout
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
     def test_bad_shape_exits(self, pair_files):
         a, b, _ = pair_files

@@ -194,6 +194,32 @@ class TestWarmPath:
         assert sub["id"] in ids
         assert all("report" not in j for j in payload["jobs"])
 
+    def test_finished_jobs_do_not_retain_their_uploads(self, live, npy_spec):
+        """The job table keeps every spec: after N npy jobs it must hold
+        O(N * 100 B) of spec, not N base64 uploads, and every GET view of
+        a finished job answers as before."""
+        upload = sum(len(v) for v in npy_spec.values())
+        ids = []
+        for _ in range(4):
+            _, sub = live.request("POST", "/jobs", body=npy_spec)
+            ids.append(sub["id"])
+        reports = []
+        for job_id in ids:
+            done = live.wait_for(job_id)
+            assert done["status"] == "done", done.get("error")
+            reports.append(json.dumps(done["report"], sort_keys=True))
+            status, trace = live.request("GET", f"/jobs/{job_id}/trace")
+            assert status == 200 and trace["traceEvents"]
+        assert len(set(reports)) == 1
+        _, listing = live.request("GET", "/jobs")
+        assert set(ids) <= {j["id"] for j in listing["jobs"]}
+
+        retained = [len(json.dumps(live.server.jobs[i].spec)) for i in ids]
+        assert max(retained) <= 100 < upload
+        spec = live.server.jobs[ids[0]].spec
+        assert spec["original_npy_b64"] == len(npy_spec["original_npy_b64"])
+        assert spec["decompressed_npy_b64"] == len(npy_spec["decompressed_npy_b64"])
+
     def test_tenant_flows_to_metrics(self, live, npy_spec):
         spec = dict(npy_spec, tenant="acme")
         status, sub = live.request("POST", "/jobs", body=spec)

@@ -7,8 +7,9 @@ step 1–4, input dtype, and slab depth, with windows straddling every
 slab seam; the ``out=`` stencil and the slab-wise slice partials must
 equal their whole-array formulas.
 
-``TOLERANCES`` is the one table of per-metric tolerances this suite (and
-``tests/unit/test_sweeps.py``) relies on; DESIGN §6 repeats it.
+``TOLERANCES`` is the one table of per-metric tolerances this suite,
+``test_property_streamed_ssim.py`` and ``tests/unit/test_sweeps.py`` rely
+on; DESIGN §6 repeats it.
 """
 
 import math
@@ -39,6 +40,12 @@ TOLERANCES = {
     "ssim_extrema": 1e-10,
     # sweep at any slab depth vs any other: same per-slice passes
     "ssim_across_depths": 0.0,
+    # ``StreamingChecker`` (same slice stage, ring reduced per window and
+    # totalled in stream order) vs either oracle, fresh or resumed from a
+    # ring the summed-area-table slice stage wrote; and across chunkings /
+    # ``state_dict`` round trips (``test_property_streamed_ssim.py``)
+    "ssim_streamed": 1e-12,
+    "ssim_across_chunkings": 0.0,
     # pattern-2 comparisons vs ``derivative_metrics`` (relative)
     "pattern2_rel": 1e-10,
     # stencil field values at any block depth vs the one-shot formula

@@ -96,3 +96,41 @@ class TestFixedWidthPacking:
         r = BitReader(blob)
         for v in values:
             assert r.read(3) == v
+
+    def test_every_width_matches_bitwriter(self, rng):
+        """Widths on both sides of every word size (8/16/32/64 bits)."""
+        for width in (1, 7, 8, 9, 15, 16, 17, 29, 32, 33, 63, 64):
+            values = rng.integers(0, 2 ** min(width, 63), size=37, dtype=np.uint64)
+            values[0] = 2**width - 1
+            writer = BitWriter()
+            for v in values.tolist():
+                writer.write(v, width)
+            assert pack_fixed_width(values, width) == writer.getvalue()
+
+    def test_rows_pack_like_separate_calls(self, rng):
+        """2-D input: one pass, every row the bytes of its own 1-D call."""
+        for width, count in ((3, 10), (8, 5), (12, 576), (20, 7), (40, 3)):
+            values = rng.integers(0, 2**width, size=(6, count))
+            packed = pack_fixed_width(values, width)
+            assert packed.dtype == np.uint8
+            assert packed.shape == (6, (width * count + 7) // 8)
+            for row, row_values in zip(packed, values):
+                assert row.tobytes() == pack_fixed_width(row_values, width)
+            out = unpack_fixed_width(packed, width, count)
+            assert out.dtype == np.uint64 and np.array_equal(out, values)
+
+    def test_rows_zero_width_and_errors(self):
+        assert pack_fixed_width(np.zeros((3, 5), dtype=np.int64), 0).shape == (3, 0)
+        rows = np.zeros((3, 0), dtype=np.uint8)
+        assert unpack_fixed_width(rows, 0, 5).shape == (3, 5)
+        with pytest.raises(CompressionError):
+            pack_fixed_width(np.array([[1, 2], [3, 8]]), 3)
+        with pytest.raises(CompressionError):
+            pack_fixed_width(np.array([[1, -2]]), 3)
+        with pytest.raises(CompressionError):
+            unpack_fixed_width(np.zeros((3, 1), dtype=np.uint8), 16, 10)
+
+    def test_unpack_ignores_trailing_bytes(self, rng):
+        values = rng.integers(0, 2**11, size=9)
+        blob = pack_fixed_width(values, 11) + b"\xff\xff"
+        assert np.array_equal(unpack_fixed_width(blob, 11, 9), values)

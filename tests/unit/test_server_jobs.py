@@ -190,6 +190,13 @@ class TestExecuteJob:
         with pytest.raises(CheckerError, match="invalid .npy upload"):
             execute_job(session, Job(spec=spec))
 
+    def test_npy_job_drops_its_uploads_even_when_one_is_bad(self, session, noisy_pair):
+        good = _npy_b64(noisy_pair[0])
+        job = Job(spec={"original_npy_b64": good, "decompressed_npy_b64": "!!!"})
+        with pytest.raises(CheckerError, match="invalid .npy upload"):
+            execute_job(session, job)
+        assert job.spec == {"original_npy_b64": len(good), "decompressed_npy_b64": 3}
+
     def test_unknown_spec_rejected(self, session):
         with pytest.raises(CheckerError, match="unrecognised job spec"):
             execute_job(session, Job(spec={"bogus": True}))
