@@ -11,6 +11,7 @@ resumes a killed run bit-identically to an uninterrupted one.
 from repro.audit.checkpoint import AuditCheckpoint, decode_state, encode_state
 from repro.audit.runner import (
     AuditInterrupted,
+    AuditResumeError,
     discover_bundles,
     resolve_audit_workers,
     run_audit,
@@ -19,6 +20,7 @@ from repro.audit.runner import (
 __all__ = [
     "AuditCheckpoint",
     "AuditInterrupted",
+    "AuditResumeError",
     "decode_state",
     "encode_state",
     "discover_bundles",

@@ -2,9 +2,10 @@
 
 A checkpoint holds the audit's progress — which fields are finished
 (with their final metric values) and, when a field is mid-stream, the
-exact :class:`~repro.core.streaming.StreamingChecker` state after the
-last completed chunk.  Two properties make kill/resume bit-identical to
-an uninterrupted run:
+:class:`~repro.core.streaming.StreamingChecker` cursors and partials
+after the last completed chunk (ring and carry are re-derived on resume,
+see :mod:`repro.audit.runner`; older files holding them still load).
+Two properties make kill/resume bit-identical to an uninterrupted run:
 
 * **exact serialisation** — the file is one self-describing binary
   container: an 8-byte magic, the header length and header CRC-32, a
@@ -41,7 +42,6 @@ import struct
 import threading
 import warnings
 import zlib
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -51,13 +51,13 @@ from repro.errors import DataIOError
 
 __all__ = [
     "AuditCheckpoint",
-    "RawSegment",
     "encode_state",
     "decode_state",
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_FORMAT_V1",
     "CHECKPOINT_MAGIC",
     "PART_GLOB",
+    "field_progress",
     "load_part",
     "part_path_for",
     "parts_dir_for",
@@ -85,25 +85,10 @@ _DTYPES = {
 }
 
 
-@dataclass(frozen=True)
-class RawSegment:
-    """One stored array carried as opaque, already-checksummed bytes.
-
-    ``load(raw=True)`` yields these in place of arrays and ``save()``
-    writes them back unchanged, so the parallel coordinator folds part
-    files into the main checkpoint without decoding a single array.
-    """
-
-    dtype: str
-    shape: tuple[int, ...]
-    crc32: int
-    data: memoryview
-
-
 def _encode(obj, on_array):
     """Convert a state structure into JSON-safe values, handing every
-    array (or raw segment) to ``on_array`` for its replacement."""
-    if isinstance(obj, (np.ndarray, RawSegment)):
+    array to ``on_array`` for its replacement."""
+    if isinstance(obj, np.ndarray):
         return on_array(obj)
     if isinstance(obj, dict):
         return {str(k): _encode(v, on_array) for k, v in obj.items()}
@@ -179,22 +164,18 @@ def _pack(doc: dict) -> tuple[bytes, list]:
 
     def on_array(arr):
         nonlocal offset
-        if isinstance(arr, RawSegment):
-            dtype, shape, data, crc = arr.dtype, arr.shape, arr.data, arr.crc32
-        else:
-            dtype = arr.dtype.newbyteorder("<").str
-            if dtype not in _DTYPES:
-                raise TypeError(f"cannot checkpoint an array of dtype {arr.dtype}")
-            shape, data = arr.shape, _little_endian_bytes(arr)
-            crc = zlib.crc32(data)
+        dtype = arr.dtype.newbyteorder("<").str
+        if dtype not in _DTYPES:
+            raise TypeError(f"cannot checkpoint an array of dtype {arr.dtype}")
+        data = _little_endian_bytes(arr)
         nbytes = len(data)
         table.append(
             {
                 "dtype": dtype,
-                "shape": list(shape),
+                "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": nbytes,
-                "crc32": crc,
+                "crc32": zlib.crc32(data),
             }
         )
         buffers.append(data)
@@ -292,10 +273,9 @@ def _check_table(table: list, payload_nbytes: int, path: Path) -> None:
         )
 
 
-def _unpack(header: dict, payload: memoryview, path: Path, raw: bool) -> dict:
+def _unpack(header: dict, payload: memoryview, path: Path) -> dict:
     """The document of a validated header, arrays materialised from
-    ``payload`` (CRC-checked) — native-byte-order copies, or
-    :class:`RawSegment` views when ``raw``."""
+    ``payload`` (CRC-checked) as native-byte-order copies."""
     table = header["arrays"]
     _check_table(table, len(payload), path)
     segments = []
@@ -306,12 +286,9 @@ def _unpack(header: dict, payload: memoryview, path: Path, raw: bool) -> dict:
                 f"corrupt audit checkpoint {path}: CRC mismatch in array "
                 f"segment {i}"
             )
-        shape = tuple(entry["shape"])
-        if raw:
-            segments.append(RawSegment(entry["dtype"], shape, entry["crc32"], data))
-        else:
-            arr = np.frombuffer(data, dtype=_DTYPES[entry["dtype"]]).reshape(shape)
-            segments.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
+        arr = np.frombuffer(data, dtype=_DTYPES[entry["dtype"]])
+        arr = arr.reshape(tuple(entry["shape"]))
+        segments.append(arr.astype(arr.dtype.newbyteorder("="), copy=True))
 
     def on_array(node):
         index = node[_NDARRAY_KEY]
@@ -372,14 +349,11 @@ class AuditCheckpoint:
                     fh.write(data)
             os.replace(tmp, self.path)
 
-    def load(self, raw: bool = False) -> dict | None:
+    def load(self) -> dict | None:
         """The decoded checkpoint, or ``None`` when absent.
 
         Every check runs before a value is trusted (see the module
-        docstring); any failure is a :class:`DataIOError`.  With ``raw``
-        the arrays of a v2 file come back as :class:`RawSegment` byte
-        ranges (CRC-verified, not decoded) that :meth:`save` passes
-        through; a v1 file always decodes.
+        docstring); any failure is a :class:`DataIOError`.
         """
         try:
             fh = self.path.open("rb")
@@ -391,7 +365,7 @@ class AuditCheckpoint:
                 return _parse_v1(prefix + fh.read(), self.path, decode_state)
             header = _read_header(prefix, fh, self.path)
             payload = fh.read(header["payload_nbytes"])
-        return _unpack(header, memoryview(payload), self.path, raw)
+        return _unpack(header, memoryview(payload), self.path)
 
     def peek(self) -> dict | None:
         """The document *without* its arrays, or ``None`` when the file
@@ -399,8 +373,8 @@ class AuditCheckpoint:
         mid-replace).
 
         Reads and CRC-checks the header only — never the array segments
-        — so a progress monitor can poll a multi-megabyte checkpoint for
-        ``completed``/``chunks_done`` cheaply.  Arrays appear as their
+        — so a progress monitor polls ``completed``/``chunks_done``
+        without decoding anything.  Arrays appear as their
         ``{"__ndarray__": <table index>}`` placeholders.
         """
         try:
@@ -478,7 +452,14 @@ def part_path_for(parts_dir: str | Path, key: str) -> Path:
     return Path(parts_dir) / f"part-{digest}.json"
 
 
-def load_part(path: str | Path, raw: bool = False) -> dict | None:
+def field_progress(doc: dict) -> dict:
+    """The mid-field resume record inside a checkpoint entry or a worker
+    part file (``halo_crc`` is absent from full-state records)."""
+    keys = ("key", "chunks_done", "bytes_streamed", "stream", "halo_crc")
+    return {k: doc[k] for k in keys if k in doc}
+
+
+def load_part(path: str | Path) -> dict | None:
     """A part file's document, or ``None`` when it is absent or corrupt.
 
     A corrupt part costs its field the progress it recorded (the field
@@ -487,7 +468,7 @@ def load_part(path: str | Path, raw: bool = False) -> dict | None:
     the reason.
     """
     try:
-        return AuditCheckpoint(path).load(raw=raw)
+        return AuditCheckpoint(path).load()
     except DataIOError as exc:
         warnings.warn(
             f"discarding unreadable audit part file {path}: {exc}",

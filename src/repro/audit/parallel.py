@@ -30,7 +30,7 @@ import pickle
 from concurrent.futures import FIRST_COMPLETED, wait
 from pathlib import Path
 
-from repro.audit.checkpoint import AuditCheckpoint, load_part, part_path_for
+from repro.audit.checkpoint import AuditCheckpoint, field_progress, load_part, part_path_for
 from repro.errors import CheckerError
 
 __all__ = ["run_parallel_audit"]
@@ -39,8 +39,8 @@ __all__ = ["run_parallel_audit"]
 PART_KIND = "audit-part"
 
 #: coordinator poll interval while worker jobs run (seconds); merges are
-#: cheap (array segments pass through as opaque byte ranges, no decode)
-#: so polling fast keeps the main checkpoint close behind the parts
+#: cheap (a part is a few KB of cursors and partials) so polling fast
+#: keeps the main checkpoint close behind the parts
 _POLL_S = 0.2
 
 
@@ -98,17 +98,14 @@ def _job_audit_field(spec: dict):
         processed = 0
         stop_after = spec["stop_after_chunks"]
 
-        def on_chunk(info, chunks_done, bytes_streamed, checker):
+        def on_chunk(progress):
             nonlocal processed
             part.save(
-                {
-                    "kind": PART_KIND,
-                    "fingerprint_sha": spec["fingerprint_sha"],
-                    "key": key,
-                    "chunks_done": chunks_done,
-                    "bytes_streamed": bytes_streamed,
-                    "stream": checker.state_dict(),
-                }
+                dict(
+                    progress,
+                    kind=PART_KIND,
+                    fingerprint_sha=spec["fingerprint_sha"],
+                )
             )
             processed += 1
             if stop_after is not None and processed >= stop_after:
@@ -192,14 +189,7 @@ def run_parallel_audit(
         ppath = part_path_for(parts_dir, key)
         if state is not None and not ppath.exists():
             AuditCheckpoint(ppath).save(
-                {
-                    "kind": PART_KIND,
-                    "fingerprint_sha": fp_sha,
-                    "key": key,
-                    "chunks_done": state["chunks_done"],
-                    "bytes_streamed": state["bytes_streamed"],
-                    "stream": state["stream"],
-                }
+                dict(field_progress(state), kind=PART_KIND, fingerprint_sha=fp_sha)
             )
 
     chunk_totals = {key: n for _, _, _, key, n in pending}
@@ -211,25 +201,18 @@ def run_parallel_audit(
         for _, _, _, key, n_chunks in pending:
             if key in completed:
                 continue
-            # raw: the stream state's arrays stay opaque CRC'd byte
-            # ranges that checkpoint.save() copies through unchanged
-            raw = load_part(part_path_for(parts_dir, key), raw=True)
+            doc = load_part(part_path_for(parts_dir, key))
             if (
-                raw is None
-                or raw.get("fingerprint_sha") != fp_sha
-                or raw.get("key") != key
+                doc is None
+                or doc.get("fingerprint_sha") != fp_sha
+                or doc.get("key") != key
             ):
                 continue
-            if raw.get("done"):
-                completed[key] = raw["result"]
+            if doc.get("done"):
+                completed[key] = doc["result"]
             else:
-                live[key] = {
-                    "key": key,
-                    "chunks_done": raw["chunks_done"],
-                    "bytes_streamed": raw["bytes_streamed"],
-                    "stream": raw["stream"],
-                }
-            done_chunks = int(raw.get("chunks_done", 0))
+                live[key] = field_progress(doc)
+            done_chunks = int(doc.get("chunks_done", 0))
             if done_chunks > last_progress.get(key, 0):
                 last_progress[key] = done_chunks
                 notify(
@@ -238,7 +221,7 @@ def run_parallel_audit(
                         "key": key,
                         "chunk": done_chunks,
                         "of": chunk_totals[key],
-                        "bytes": int(raw.get("bytes_streamed", 0)),
+                        "bytes": int(doc.get("bytes_streamed", 0)),
                     },
                 )
         payload = {

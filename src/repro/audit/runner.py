@@ -14,11 +14,12 @@ tree with bounded memory:
 * the decompressed side is produced chunk-wise by an error-bounded
   codec (compress + decompress per chunk), which keeps the pipeline
   deterministic per chunk and therefore replayable after a kill;
-* after every chunk the exact stream state lands in an
-  :class:`~repro.audit.checkpoint.AuditCheckpoint` (atomic replace), so
-  a SIGKILL at any instant loses at most the chunk in flight — resuming
-  replays from the last completed chunk and the final report is
-  byte-for-byte identical to an uninterrupted run.
+* after every chunk the stream's cursors and partials (not its SSIM
+  ring or error-slice carry: a resume re-derives those from the last few
+  chunks) land in an :class:`~repro.audit.checkpoint.AuditCheckpoint`
+  (atomic replace), so a SIGKILL at any instant loses at most the chunk
+  in flight and the resumed report is byte-for-byte identical to an
+  uninterrupted run.
 
 With ``workers`` > 1 (or ``"auto"`` on a multicore host) the audit fans
 one field per process-pool worker (:mod:`repro.audit.parallel`): each
@@ -43,12 +44,16 @@ import json
 import math
 import os
 import threading
+import zlib
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from repro.audit.checkpoint import (
     PART_GLOB,
     AuditCheckpoint,
+    field_progress,
     load_part,
     parts_dir_for,
     remove_parts,
@@ -60,6 +65,7 @@ from repro.telemetry.tracer import NULL_TRACER
 
 __all__ = [
     "AuditInterrupted",
+    "AuditResumeError",
     "REPORT_FORMAT",
     "discover_bundles",
     "resolve_audit_workers",
@@ -82,6 +88,13 @@ class AuditInterrupted(CheckerError):
         super().__init__(
             f"audit interrupted after {chunks_processed} chunk(s) (test hook)"
         )
+
+
+class AuditResumeError(CheckerError):
+    """The chunks a checkpoint's SSIM ring and autocorrelation carry are
+    re-derived from no longer reproduce the bytes it recorded (archive or
+    codec changed, codec not deterministic) or do not span them; nothing
+    was written."""
 
 
 def discover_bundles(root: str | Path) -> list[Path]:
@@ -292,7 +305,9 @@ def run_audit(
         progress lines.  The ``"resume"`` event's ``discarded_parts``
         counts worker part files that failed validation (each also
         raised a ``RuntimeWarning``); their fields resume from the main
-        checkpoint's snapshot instead.
+        checkpoint's snapshot instead.  ``primed_chunks`` (when non-zero)
+        counts the chunks re-read to rebuild ring and carry — one
+        ``halo_prime`` span each.
     stop_after_chunks:
         Test hook — raise :class:`AuditInterrupted` after this many
         chunks were processed *in this run* (checkpoint already saved).
@@ -355,14 +370,15 @@ def run_audit(
                     in_flight[key] = state
             discarded = _overlay_parts(parts_dir, fp_sha, completed, in_flight)
             if completed or in_flight or discarded:
-                notify(
-                    "resume",
-                    {
-                        "completed": len(completed),
-                        "mid_field": bool(in_flight),
-                        "discarded_parts": discarded,
-                    },
-                )
+                payload = {
+                    "completed": len(completed),
+                    "mid_field": bool(in_flight),
+                    "discarded_parts": discarded,
+                }
+                primed = sum(len(s.get("halo_crc", ())) for s in in_flight.values())
+                if primed:
+                    payload["primed_chunks"] = primed
+                notify("resume", payload)
         else:
             checkpoint.delete()
             remove_parts(parts_dir)
@@ -484,12 +500,7 @@ def _overlay_parts(parts_dir, fp_sha, completed, in_flight) -> int:
             completed[key] = doc["result"]
             in_flight.pop(key, None)
         else:
-            in_flight[key] = {
-                "key": key,
-                "chunks_done": doc["chunks_done"],
-                "bytes_streamed": doc["bytes_streamed"],
-                "stream": doc["stream"],
-            }
+            in_flight[key] = field_progress(doc)
     return discarded
 
 
@@ -529,24 +540,17 @@ def _run_serial(
     for bundle, rel, field_name, key, n_chunks in pending:
         resume_state = in_flight.pop(key, None)
 
-        def on_chunk(info, chunks_done, bytes_streamed, checker):
+        def on_chunk(progress):
             nonlocal processed
-            save_checkpoint(
-                {
-                    "key": key,
-                    "chunks_done": chunks_done,
-                    "bytes_streamed": bytes_streamed,
-                    "stream": checker.state_dict(),
-                }
-            )
+            save_checkpoint(progress)
             processed += 1
             notify(
                 "chunk",
                 {
                     "key": key,
-                    "chunk": chunks_done,
+                    "chunk": progress["chunks_done"],
                     "of": n_chunks,
-                    "bytes": bytes_streamed,
+                    "bytes": progress["bytes_streamed"],
                 },
             )
             if (
@@ -614,9 +618,19 @@ def _stream_field(
 
     The shared core of the serial loop and every parallel worker — the
     same code path on the same bytes is what makes reports byte-identical
-    across worker counts.  ``on_chunk(info, chunks_done, bytes_streamed,
-    checker)`` runs after every chunk update (checkpointing lives there)
+    across worker counts.  ``on_chunk(progress)`` runs after every chunk
+    update with the field's resume record (checkpointing lives there)
     and may raise :class:`AuditInterrupted`.
+
+    The record holds the stream state *without* its halo plus
+    ``[crc32(original), crc32(round trip)]`` of each chunk covering the
+    last ``checker.halo`` slices (the contiguous run ending at
+    ``chunks_done - 1``).  Resuming replays exactly those chunks (one
+    resident at a time) through ``checker.prime``; a CRC mismatch, or a
+    run that does not reach back ``halo`` slices, is an
+    :class:`AuditResumeError`.  A full-state record (older writers) has
+    no ``halo_crc`` and replays nothing; the chunks streamed after such a
+    resume are saved full-state too until their CRCs span the halo.
     """
     ny, nx = bundle.shape[1], bundle.shape[2]
     lag = max(0, min(lag_default, min(ny, nx) - 1))
@@ -628,14 +642,34 @@ def _stream_field(
         pwr_floor=cfg.pattern1.pwr_floor,
         tracer=tracer,
     )
+    chunk_table = bundle.field_chunks(field_name, chunk_nz)
+    halo = checker.halo
+
+    def spans_halo(first: int, z_done: int) -> bool:
+        """Chunks ``first``.. hold all of the last ``halo`` slices before ``z_done``."""
+        if not halo or first == 0:
+            return True
+        return 0 < first < len(chunk_table) and chunk_table[first].z0 <= z_done - halo
+
+    def resume_error(why: str) -> AuditResumeError:
+        return AuditResumeError(
+            f"cannot resume {rel}::{field_name}: {why}; rerun with resume "
+            "disabled (--fresh) to discard the checkpoint"
+        )
+
     start = 0
     bytes_streamed = 0
+    halo_crc: list[list[int]] = []
     if resume_state is not None and resume_state.get("key") == key:
         checker.load_state(resume_state["stream"])
         start = int(resume_state["chunks_done"])
         bytes_streamed = int(resume_state["bytes_streamed"])
+        halo_crc = [list(pair) for pair in resume_state.get("halo_crc", ())]
+        z_done = sum(c.nz for c in chunk_table[:start])
+        if "halo_crc" in resume_state and not spans_halo(start - len(halo_crc), z_done):
+            raise resume_error("its checkpoint records too few chunks to re-derive the halo from")
+    first = start - len(halo_crc)
 
-    chunk_table = bundle.field_chunks(field_name, chunk_nz)
     with tracer.span(
         "audit_field",
         category="job",
@@ -645,10 +679,11 @@ def _stream_field(
         resumed_at=start,
     ) as field_span:
         for info, block in bundle.iter_field_chunks(
-            field_name, chunk_nz=chunk_nz, verify=verify, start=start
+            field_name, chunk_nz=chunk_nz, verify=verify, start=first
         ):
+            replay = info.index < start
             with tracer.span(
-                "chunk_read",
+                "halo_prime" if replay else "chunk_read",
                 category="chunk",
                 bytes=info.nbytes,
                 stored_bytes=info.stored,
@@ -658,9 +693,37 @@ def _stream_field(
                 z0=info.z0,
             ):
                 dec = compressor.decompress(compressor.compress(block))
+            crcs = [zlib.crc32(block), zlib.crc32(np.ascontiguousarray(dec))]
+            if replay:
+                if crcs != halo_crc[info.index - first]:
+                    raise resume_error(
+                        f"chunk {info.index} no longer reproduces the bytes its "
+                        "checkpoint recorded (archive or codec changed, or the "
+                        "codec is not deterministic)"
+                    )
+                checker.prime(info.z0, block, dec)
+                continue
             checker.update(block, dec)
             bytes_streamed += info.nbytes
-            on_chunk(info, info.index + 1, bytes_streamed, checker)
+            z_done = info.z0 + info.nz
+            if halo:
+                # keep the chunks covering the last `halo` slices: the
+                # front one goes once its successor reaches back that far
+                halo_crc.append(crcs)
+                while len(halo_crc) > 1 and spans_halo(info.index + 2 - len(halo_crc), z_done):
+                    del halo_crc[0]
+            # after a full-state resume the CRC run starts shorter than the
+            # halo and could not re-derive it: save the halo until it does
+            light = spans_halo(info.index + 1 - len(halo_crc), z_done)
+            progress = {
+                "key": key,
+                "chunks_done": info.index + 1,
+                "bytes_streamed": bytes_streamed,
+                "stream": checker.state_dict(halo=not light),
+            }
+            if light:
+                progress["halo_crc"] = halo_crc
+            on_chunk(progress)
         field_span.attrs["bytes_streamed"] = bytes_streamed
 
     res = checker.finalize()

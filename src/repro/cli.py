@@ -457,6 +457,8 @@ def _cmd_audit(args) -> int:
                     f" ({payload['discarded_parts']} corrupt worker part "
                     "file(s) discarded)"
                 )
+            if payload.get("primed_chunks"):
+                extra += f", re-deriving {payload['primed_chunks']} chunk(s) of halo"
             print(
                 f"resuming from checkpoint: {payload['completed']} field(s) "
                 f"already done{extra}",

@@ -161,6 +161,46 @@ class StreamingChecker:
         """Feed the next z-chunk (shape ``(cz, ny, nx)``, any cz >= 1)."""
         if self._finalized:
             raise CheckerError("stream already finalised")
+        orig_chunk, dec_chunk = self._check_chunks(orig_chunk, dec_chunk)
+        with self.tracer.span(
+            f"chunk{self._chunk_index}", category="step",
+            bytes=orig_chunk.nbytes + dec_chunk.nbytes,
+            z0=self._z, cz=orig_chunk.shape[0],
+        ):
+            o64 = orig_chunk.astype(np.float64)
+            d64 = dec_chunk.astype(np.float64)
+            self._acc.add_block(o64, d64, d64 - o64)
+            if self.ssim_config is not None:
+                self._ingest_ssim(self._z, o64, d64, accumulate=True)
+            self._z = self._acc.z
+        self._chunk_index += 1
+
+    def prime(self, z0: int, orig_chunk: np.ndarray, dec_chunk: np.ndarray) -> None:
+        """Replay an already-accumulated chunk (first slice ``z0``) into
+        the halo only: the SSIM ring and the error-slice carry advance
+        exactly as :meth:`update` advances them, no accumulator moves.
+
+        After ``load_state`` of a ``state_dict(halo=False)`` snapshot,
+        priming the chunks that cover the last :attr:`halo` slices (in z
+        order, ending at the snapshot's cursor) restores the stream.
+        """
+        orig_chunk, dec_chunk = self._check_chunks(orig_chunk, dec_chunk)
+        if z0 < 0 or z0 + orig_chunk.shape[0] > self._z:
+            raise CheckerError(f"prime replays slices below cursor {self._z}, got {z0=}")
+        o64 = orig_chunk.astype(np.float64)
+        d64 = dec_chunk.astype(np.float64)
+        if self.max_lag:
+            self._acc.roll_carry(d64 - o64)
+        if self.ssim_config is not None:
+            self._ingest_ssim(z0, o64, d64, accumulate=False)
+
+    @property
+    def halo(self) -> int:
+        """How many trailing slices the ring and the carry depend on."""
+        w = self.ssim_config.window if self.ssim_config is not None else 1
+        return max(w - 1, self.max_lag)
+
+    def _check_chunks(self, orig_chunk, dec_chunk):
         orig_chunk = np.asarray(orig_chunk)
         dec_chunk = np.asarray(dec_chunk)
         if orig_chunk.shape != dec_chunk.shape:
@@ -172,18 +212,7 @@ class StreamingChecker:
                 f"chunks must be (cz, {self.ny}, {self.nx}), got "
                 f"{orig_chunk.shape}"
             )
-        with self.tracer.span(
-            f"chunk{self._chunk_index}", category="step",
-            bytes=orig_chunk.nbytes + dec_chunk.nbytes,
-            z0=self._z, cz=orig_chunk.shape[0],
-        ):
-            o64 = orig_chunk.astype(np.float64)
-            d64 = dec_chunk.astype(np.float64)
-            self._acc.add_block(o64, d64, d64 - o64)
-            if self.ssim_config is not None:
-                self._ingest_ssim(self._z, o64, d64)
-            self._z = self._acc.z
-        self._chunk_index += 1
+        return orig_chunk, dec_chunk
 
     @property
     def _carry(self) -> np.ndarray:
@@ -193,10 +222,11 @@ class StreamingChecker:
             return np.zeros((0, self.ny, self.nx))
         return carry
 
-    def _ingest_ssim(self, z0: int, o64: np.ndarray, d64: np.ndarray) -> None:
+    def _ingest_ssim(self, z0: int, o64: np.ndarray, d64: np.ndarray, accumulate: bool) -> None:
         """Alg. 3 over one chunk: the sweep's slice stage per slab, then
         each slice's ``(5, py, px)`` sums into the ring and — when it
-        completes an on-step window — the ring reduction.
+        completes an on-step window and ``accumulate`` — the ring
+        reduction.
 
         The per-slice sums do not depend on the slab or chunk depth (see
         :func:`~repro.kernels.pattern3._slab_window_sums`), so any
@@ -217,7 +247,7 @@ class StreamingChecker:
             for j in range(sums.shape[1]):
                 k = z0 + j0 + j
                 self._fifo.push(k, sums[:, j])
-                if k >= w - 1 and (k - w + 1) % step == 0:
+                if accumulate and k >= w - 1 and (k - w + 1) % step == 0:
                     self._reduce_ssim_window()
 
     def _reduce_ssim_window(self) -> None:
@@ -240,26 +270,28 @@ class StreamingChecker:
 
     # -- checkpoint/resume -----------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def state_dict(self, halo: bool = True) -> dict:
         """Exact mid-stream state (accumulator, SSIM FIFO, cursors).
 
         Restoring this snapshot onto a same-configuration checker and
         feeding the remaining chunks is bit-identical to feeding the
         whole stream uninterrupted — the resumable audit's contract,
         property-tested in ``tests/property/test_property_audit.py``.
+        ``halo=False`` omits the SSIM ring and the error-slice carry (all
+        but a few hundred bytes): both are a function of the last
+        :attr:`halo` input slices, which a stream with a durable source
+        re-reads into :meth:`prime` instead.
         """
         state = {
-            "acc": self._acc.state_dict(),
+            "acc": self._acc.state_dict(halo=halo),
             "z": self._z,
             "chunk_index": self._chunk_index,
             "finalized": self._finalized,
         }
         if self.ssim_config is not None:
-            state["ssim"] = {
-                "total": self._ssim_total,
-                "count": self._ssim_count,
-                "fifo": self._fifo.state_dict(),
-            }
+            state["ssim"] = {"total": self._ssim_total, "count": self._ssim_count}
+            if halo:
+                state["ssim"]["fifo"] = self._fifo.state_dict()
         return state
 
     def load_state(self, state: dict) -> None:
@@ -277,7 +309,10 @@ class StreamingChecker:
         if has_ssim:
             self._ssim_total = float(state["ssim"]["total"])
             self._ssim_count = int(state["ssim"]["count"])
-            self._fifo.load_state(state["ssim"]["fifo"])
+            if "fifo" in state["ssim"]:
+                self._fifo.load_state(state["ssim"]["fifo"])
+            else:  # halo-less: empty until prime() refills it
+                self._fifo = SmemFifo(self._fifo.depth, self._fifo.slot_shape)
 
     # -- finishing -------------------------------------------------------------
 

@@ -255,7 +255,13 @@ class TileAccumulator:
                 core = carry[L - (z0 - lo) : L - (z0 - hi) if z0 > hi else L]
                 later = e[lo + tau - z0 : hi + tau - z0]
                 self._emit(core, later, tau)
-        # roll the carry so it ends at slice z0 + cz - 1
+        self.roll_carry(e)
+
+    def roll_carry(self, e: np.ndarray) -> None:
+        """Advance the carry past block ``e`` (it then ends at the block's
+        last slice) without touching a sum — all a resumed stream needs
+        from the blocks before its checkpoint."""
+        cz, L, carry = e.shape[0], self.max_lag, self._carry
         if cz >= L:
             np.copyto(carry, e[cz - L :])
         else:
@@ -340,7 +346,7 @@ class TileAccumulator:
         "min_r", "max_r", "sum_r", "cnt_r",
     )
 
-    def state_dict(self) -> dict:
+    def state_dict(self, halo: bool = True) -> dict:
         """The exact accumulation state after some number of blocks.
 
         Everything the resumable audit needs to survive a kill: the 14+
@@ -348,7 +354,8 @@ class TileAccumulator:
         trailing error-slice carry, and the derivative partials.  All
         values are exact (floats and raw arrays, no rounding), so
         ``load_state`` followed by the remaining blocks is bit-identical
-        to an uninterrupted run.
+        to an uninterrupted run.  ``halo=False`` leaves out the carry, which
+        a caller able to re-read those slices restores with :meth:`roll_carry`.
         """
         state: dict = {k: getattr(self, k) for k in self._STATE_SCALARS}
         state["arrays"] = {
@@ -357,7 +364,7 @@ class TileAccumulator:
             "ac_b": self.ac_b.copy(),
             "ac_n": self.ac_n.copy(),
         }
-        if self._carry is not None:
+        if halo and self._carry is not None:
             state["arrays"]["carry"] = self._carry.copy()
         state["deriv"] = {
             str(w): dict(acc) for w, acc in self._deriv.items()
@@ -385,7 +392,9 @@ class TileAccumulator:
         if ac_n.shape != self.ac_n.shape:
             raise ShapeError("accumulator state ac_n shape mismatch")
         np.copyto(self.ac_n, ac_n)
-        if self._carry is not None:
+        if self._carry is not None and "carry" not in arrays:
+            self._carry.fill(0.0)  # halo-less: roll_carry replays the slices
+        elif self._carry is not None:
             carry = np.asarray(arrays["carry"], dtype=np.float64)
             if carry.shape != self._carry.shape:
                 raise ShapeError(

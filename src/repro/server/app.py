@@ -10,7 +10,8 @@ POST    ``/jobs``           submit a job spec (202, or 429 when the
                             admission queue is full)
 GET     ``/jobs``           all job summaries
 GET     ``/jobs/<id>``      one job's status, progress, and — when done —
-                            its full report
+                            its full report (404 once evicted: only the
+                            1024 most recently finished jobs are kept)
 GET     ``/jobs/<id>/trace``  the job's chrome-trace span feed (the same
                             exporter ``cuzchecker profile`` uses)
 GET     ``/metrics``        server counters + the session's warm-state
@@ -24,8 +25,12 @@ Assessment is CPU-bound NumPy, so the asyncio loop never runs it
 directly: ``job_workers`` worker tasks pull from the fair queue and push
 each job into a thread via :meth:`loop.run_in_executor`, keeping the
 accept loop responsive while the shared session (thread-safe by design)
-does the work.  Every job runs with its own tracer, which doubles as
-the progress feed.
+does the work.  The threads come from a pool of exactly ``job_workers``:
+asyncio's default executor starts another thread whenever a job is
+submitted before the previous one's thread has marked itself idle, and
+each such thread brings its own malloc arena (~25 MB of RSS here, at a
+moment that depends on scheduling).  Every job runs with its own tracer,
+which doubles as the progress feed.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.server.jobs import Job, JobQueue, QueueFullError, execute_job
 from repro.service.session import CheckerSession
@@ -90,6 +97,11 @@ async def _read_request(reader: asyncio.StreamReader):
     return method.upper(), path, headers, body
 
 
+#: finished (done/failed) jobs the table keeps, most recent first to go
+#: last; queued and running jobs are never evicted
+MAX_FINISHED_JOBS = 1024
+
+
 class AssessmentServer:
     """One resident session behind an asyncio HTTP/JSON endpoint."""
 
@@ -107,15 +119,18 @@ class AssessmentServer:
         self.queue = JobQueue(max_pending=max_queue)
         self.job_workers = max(1, int(job_workers))
         self.jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self.counters = {
             "jobs_submitted": 0,
             "jobs_completed": 0,
             "jobs_failed": 0,
             "jobs_rejected": 0,
+            "jobs_evicted": 0,
         }
         self._started_at: float | None = None
         self._server: asyncio.AbstractServer | None = None
         self._workers: list[asyncio.Task] = []
+        self._pool: ThreadPoolExecutor | None = None
         self._wakeup: asyncio.Event | None = None
         self._stopping: asyncio.Event | None = None
 
@@ -131,6 +146,9 @@ class AssessmentServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
+        self._pool = ThreadPoolExecutor(
+            self.job_workers, thread_name_prefix="cuzchecker-job"
+        )
         self._workers = [
             asyncio.get_running_loop().create_task(self._worker())
             for _ in range(self.job_workers)
@@ -158,6 +176,9 @@ class AssessmentServer:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._workers = []
+        if self._pool is not None:  # a job still running finishes first
+            pool, self._pool = self._pool, None
+            await asyncio.get_running_loop().run_in_executor(None, pool.shutdown)
         # close() shuts the persistent process pools down with wait=True
         # and clears the scratch pools — the leak-free-shutdown half of
         # the service contract (CI asserts no orphan workers/segments)
@@ -177,7 +198,7 @@ class AssessmentServer:
             job.started_at = time.time()
             try:
                 job.report = await loop.run_in_executor(
-                    None, execute_job, self.session, job
+                    self._pool, execute_job, self.session, job
                 )
                 job.status = "done"
                 self.counters["jobs_completed"] += 1
@@ -191,6 +212,10 @@ class AssessmentServer:
                 self.counters["jobs_failed"] += 1
             finally:
                 job.finished_at = time.time()
+                self._finished.append(job.id)
+                while len(self._finished) > MAX_FINISHED_JOBS:
+                    del self.jobs[self._finished.popleft()]
+                    self.counters["jobs_evicted"] += 1
 
     # -- HTTP --------------------------------------------------------------
 
@@ -237,6 +262,7 @@ class AssessmentServer:
             return 200, {
                 "server": dict(
                     self.counters,
+                    jobs_retained=len(self.jobs),
                     queue_depth=len(self.queue),
                     queue_depth_by_tenant=self.queue.depths(),
                     job_workers=self.job_workers,

@@ -20,6 +20,7 @@ parts that need no sockets:
 from __future__ import annotations
 
 import base64
+import binascii
 import io
 import secrets
 import threading
@@ -164,9 +165,13 @@ class _AuditReport:
 
 def _decode_npy(b64_text: str) -> np.ndarray:
     try:
+        if not isinstance(b64_text, str):
+            raise ValueError(f"expected a base64 string, got {type(b64_text).__name__}")
         raw = base64.b64decode(b64_text.encode("ascii"), validate=True)
+        if not raw.startswith(b"\x93NUMPY"):  # np.load would try zip, then pickle
+            raise ValueError("not an .npy file")
         return np.load(io.BytesIO(raw), allow_pickle=False)
-    except Exception as exc:  # noqa: BLE001 — surface as one job error
+    except (ValueError, binascii.Error, EOFError, OSError) as exc:
         raise CheckerError(f"invalid .npy upload: {exc}") from exc
 
 

@@ -1,16 +1,20 @@
 """What a killed audit leaves behind besides its checkpoint, and what a
-resumed run does about it: orphaned temp files are swept, and a corrupt
+resumed run does about it: orphaned temp files are swept, a corrupt
 worker part file is discarded *loudly* — warning, count in the
-``resume`` event — with the final report still correct.
+``resume`` event — with the final report still correct, and a halo that
+cannot be re-derived (archive or codec changed under the checkpoint)
+stops the resume with one typed error before anything is written.
 """
 
 import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.audit import AuditInterrupted, run_audit
+import repro.audit.runner as runner
+from repro.audit import AuditInterrupted, AuditResumeError, run_audit
 from repro.audit.checkpoint import (
     AuditCheckpoint,
     part_path_for,
@@ -18,7 +22,7 @@ from repro.audit.checkpoint import (
     sweep_stale_temps,
 )
 from repro.datasets.fields import Dataset, Field
-from repro.io.bundle import save_bundle_chunked
+from repro.io.bundle import load_bundle, save_bundle_chunked
 from repro.parallel import process_available
 
 
@@ -86,6 +90,68 @@ class TestStaleTempFiles:
         orphan.write_bytes(b"x")
         ck.delete()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHaloCannotBeRederived:
+    """A light checkpoint trusts the archive and the codec to reproduce
+    the chunks under its SSIM ring / autocorrelation carry; the per-chunk
+    CRC-32s it carries are what notices when they do not."""
+
+    def _killed(self, root, tmp_path, **kwargs):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "report.json"
+        with pytest.raises(AuditInterrupted):
+            run_audit(root, out_path=out, checkpoint_path=ck, workers="serial",
+                      stop_after_chunks=5, **kwargs)  # alpha::v, two chunks in
+        record = AuditCheckpoint(ck).load()["in_progress"]
+        assert record["chunks_done"] == len(record["halo_crc"]) == 2
+        return ck, out
+
+    def _assert_refused(self, ck, out, **kwargs):
+        before = ck.read_bytes()
+        with pytest.raises(AuditResumeError, match=r"alpha::v: chunk \d .*--fresh"):
+            run_audit(out_path=out, checkpoint_path=ck, workers="serial", **kwargs)
+        assert not out.exists()
+        assert ck.read_bytes() == before
+
+    def test_flipped_archive_byte_between_kill_and_resume(self, tree, tmp_path):
+        src, ref_bytes = tree
+        root = tmp_path / "tree"
+        shutil.copytree(src / "alpha", root / "alpha")
+        ck, out = self._killed(root, tmp_path, verify=False)
+        bundle = load_bundle(root / "alpha")
+        chunk = bundle.field_chunks("v")[1]
+        path = bundle.field_path("v")
+        blob = bytearray(path.read_bytes())
+        blob[chunk.offset + chunk.nbytes // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        self._assert_refused(ck, out, root=root, verify=False)
+        # restoring the archive is enough: the checkpoint was left alone
+        blob[chunk.offset + chunk.nbytes // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        run_audit(root, out_path=out, checkpoint_path=ck, workers="serial",
+                  verify=False)
+        assert out.read_bytes() == ref_bytes
+
+    def test_nondeterministic_codec(self, tree, tmp_path, monkeypatch):
+        root, _ = tree
+
+        class Drifting:
+            """Round trip that differs on every call."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def compress(self, block):
+                self.calls += 1
+                return block + np.float32(self.calls)
+
+            def decompress(self, payload):
+                return payload
+
+        monkeypatch.setattr(runner, "_codec_for", lambda codec, args: Drifting())
+        ck, out = self._killed(root, tmp_path)
+        self._assert_refused(ck, out, root=root)
 
 
 @pytest.mark.skipif(

@@ -29,19 +29,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.audit import run_audit
+from repro.audit import AuditInterrupted, run_audit
 from repro.audit.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMAT_V1,
     CHECKPOINT_MAGIC,
     AuditCheckpoint,
-    RawSegment,
 )
 from repro.datasets.fields import Dataset, Field
 from repro.errors import DataIOError
 from repro.io.bundle import save_bundle_chunked
+from repro.telemetry.tracer import Tracer
 
 GOLDEN_V1 = Path(__file__).resolve().parents[1] / "golden" / "audit_checkpoint_v1.json"
+GOLDEN_V2_FULL = GOLDEN_V1.with_name("audit_checkpoint_v2_full.bin")
 
 _PREFIX = struct.Struct("<8sII")
 
@@ -142,25 +143,6 @@ class TestRoundTrip:
         with pytest.raises(TypeError, match="dtype"):
             ck.save({"a": np.array([object()])})
         assert not ck.exists() and list(tmp_path.iterdir()) == []
-
-    def test_raw_segments_pass_through_unchanged(self, tmp_path, rng):
-        """The coordinator's merge path: arrays loaded as opaque byte
-        ranges re-save into another checkpoint that decodes identically,
-        and re-saving that one again is a byte-for-byte fixpoint."""
-        arr = rng.normal(size=(4, 5))
-        part = AuditCheckpoint(tmp_path / "part.json")
-        part.save({"stream": {"buf": arr, "n": 3}})
-        raw = part.load(raw=True)
-        seg = raw["stream"]["buf"]
-        assert isinstance(seg, RawSegment)
-        assert seg.shape == (4, 5) and bytes(seg.data) == arr.tobytes()
-
-        main = AuditCheckpoint(tmp_path / "main.json")
-        main.save({"in_flight": {"k": raw["stream"]}})
-        _assert_same_array(main.load()["in_flight"]["k"]["buf"], arr)
-        again = AuditCheckpoint(tmp_path / "again.json")
-        again.save({"in_flight": main.load(raw=True)["in_flight"]})
-        assert again.path.read_bytes() == main.path.read_bytes()
 
 
 @pytest.fixture()
@@ -404,6 +386,62 @@ class TestV1ReadPath:
             again["in_progress"]["stream"]["ssim"]["fifo"]["buf"],
             doc["in_progress"]["stream"]["ssim"]["fifo"]["buf"],
         )
+
+
+class TestFullStateV2ReadPath:
+    """``audit_checkpoint_v2_full.bin`` is what commit 02d0cc2 — the last
+    writer that persisted the SSIM ring and the autocorrelation carry —
+    left after the golden recipe (``run_audit(golden_tree,
+    **GOLDEN_KWARGS, stop_after_chunks=4)``).  It has no ``halo_crc``:
+    the resume loads ring and carry from the file and primes nothing."""
+
+    def test_holds_the_halo_and_no_crcs(self):
+        record = AuditCheckpoint(GOLDEN_V2_FULL).load()["in_progress"]
+        assert "halo_crc" not in record
+        assert record["stream"]["ssim"]["fifo"]["buf"].shape == (8, 5, 3, 3)
+        assert record["stream"]["acc"]["arrays"]["carry"].shape == (3, 10, 10)
+
+    def test_resumes_byte_identical_to_uninterrupted(self, tmp_path):
+        root = golden_tree(tmp_path / "tree")
+        ref = tmp_path / "ref.json"
+        run_audit(root, out_path=ref, checkpoint_path=tmp_path / "ck_ref.json",
+                  **GOLDEN_KWARGS)
+
+        ck = tmp_path / "ck.json"
+        shutil.copyfile(GOLDEN_V2_FULL, ck)
+        events = []
+        tracer = Tracer()
+        out = tmp_path / "resumed.json"
+        run_audit(root, out_path=out, checkpoint_path=ck, **GOLDEN_KWARGS,
+                  tracer=tracer,
+                  progress=lambda event, payload: events.append((event, payload)))
+        assert events[0] == (
+            "resume", {"completed": 1, "mid_field": True, "discarded_parts": 0}
+        )
+        assert [p["chunk"] for e, p in events if e == "chunk"] == [2, 3]
+        assert not [s for s in tracer.spans if s.name == "halo_prime"]
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_killed_again_one_chunk_later_still_resumes(self, tmp_path):
+        """The chunk streamed after the resume covers 4 of the 7 halo
+        slices, so its record must stay full-state: a light one would
+        prime an under-filled ring on the second resume."""
+        root = golden_tree(tmp_path / "tree")
+        ref = tmp_path / "ref.json"
+        run_audit(root, out_path=ref, checkpoint_path=tmp_path / "ck_ref.json",
+                  **GOLDEN_KWARGS)
+
+        ck = tmp_path / "ck.json"
+        shutil.copyfile(GOLDEN_V2_FULL, ck)
+        out = tmp_path / "resumed.json"
+        with pytest.raises(AuditInterrupted):
+            run_audit(root, out_path=out, checkpoint_path=ck, **GOLDEN_KWARGS,
+                      stop_after_chunks=1)
+        record = AuditCheckpoint(ck).load()["in_progress"]
+        assert record["chunks_done"] == 2 and "halo_crc" not in record
+        assert record["stream"]["ssim"]["fifo"]["buf"].shape == (8, 5, 3, 3)
+        run_audit(root, out_path=out, checkpoint_path=ck, **GOLDEN_KWARGS)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 def test_save_transient_heap_is_bounded(tmp_path, rng):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import io
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckerError
+from repro.server.app import MAX_FINISHED_JOBS, AssessmentServer
 from repro.server.jobs import Job, JobQueue, QueueFullError, execute_job
 from repro.service.session import CheckerSession
 
@@ -190,12 +192,39 @@ class TestExecuteJob:
         with pytest.raises(CheckerError, match="invalid .npy upload"):
             execute_job(session, Job(spec=spec))
 
+    def test_npy_job_rejects_a_zip_upload(self, session):
+        """``np.load`` answers ``PK\\x03\\x04`` bytes with ``BadZipFile``
+        (no ValueError/OSError parent): the magic check comes first."""
+        zipped = base64.b64encode(b"PK\x03\x04" + b"\0" * 64).decode("ascii")
+        spec = {"original_npy_b64": zipped, "decompressed_npy_b64": zipped}
+        with pytest.raises(CheckerError, match="invalid .npy upload: not an .npy file"):
+            execute_job(session, Job(spec=spec))
+
+    def test_npy_job_rejects_a_non_string_upload(self, session):
+        spec = {"original_npy_b64": 5, "decompressed_npy_b64": ["x"]}
+        with pytest.raises(CheckerError, match="invalid .npy upload: expected a base64 string"):
+            execute_job(session, Job(spec=spec))
+
     def test_npy_job_drops_its_uploads_even_when_one_is_bad(self, session, noisy_pair):
         good = _npy_b64(noisy_pair[0])
         job = Job(spec={"original_npy_b64": good, "decompressed_npy_b64": "!!!"})
         with pytest.raises(CheckerError, match="invalid .npy upload"):
             execute_job(session, job)
         assert job.spec == {"original_npy_b64": len(good), "decompressed_npy_b64": 3}
+
+    def test_npy_job_does_not_relabel_resource_failures(
+        self, session, noisy_pair, monkeypatch
+    ):
+        """Only decode failures are "invalid upload": running out of
+        memory while materialising one is not the client's mistake."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("no room for the upload")
+
+        monkeypatch.setattr(np, "load", exhausted)
+        good = _npy_b64(noisy_pair[0])
+        job = Job(spec={"original_npy_b64": good, "decompressed_npy_b64": good})
+        with pytest.raises(MemoryError):
+            execute_job(session, job)
 
     def test_unknown_spec_rejected(self, session):
         with pytest.raises(CheckerError, match="unrecognised job spec"):
@@ -223,3 +252,72 @@ class TestExecuteJob:
         assert job.to_dict()["report"]["totals"]["fields"] == 1
         # the job's tracer carried the per-chunk progress spans
         assert any(s.name == "chunk_read" for s in job.tracer.spans)
+
+
+class TestJobTableRetention:
+    def test_finished_jobs_are_evicted_beyond_the_cap(self):
+        """3x cap sequential jobs: the table ends at exactly the cap,
+        holding the most recent ones; older ids answer 404 and the
+        counters say what happened.  (Bad specs fail fast, and a failed
+        job is retained like a finished one.)"""
+        total = 3 * MAX_FINISHED_JOBS
+
+        async def main():
+            server = AssessmentServer(port=0)
+            await server.start()
+            try:
+                ids = []
+                for _ in range(total):
+                    status, payload = server._submit(b'{"bogus": true}')
+                    assert status == 202
+                    ids.append(payload["id"])
+                    job = server.jobs[payload["id"]]
+                    while job.finished_at is None:  # queued/running: never evicted
+                        assert job.id in server.jobs
+                        await asyncio.sleep(0)
+                return server, ids
+            finally:
+                await server.stop()
+
+        server, ids = asyncio.run(asyncio.wait_for(main(), timeout=120))
+        assert len(server.jobs) == MAX_FINISHED_JOBS
+        assert list(server.jobs) == ids[-MAX_FINISHED_JOBS:]
+        assert server._route("GET", f"/jobs/{ids[0]}", b"")[0] == 404
+        assert server._route("GET", f"/jobs/{ids[-1]}", b"")[0] == 200
+        status, metrics = server._route("GET", "/metrics", b"")
+        assert status == 200
+        assert metrics["server"]["jobs_retained"] == MAX_FINISHED_JOBS
+        assert metrics["server"]["jobs_evicted"] == total - MAX_FINISHED_JOBS
+        assert metrics["server"]["jobs_failed"] == total
+
+
+class TestJobThreads:
+    def test_jobs_run_on_the_bounded_pool(self, monkeypatch):
+        """Jobs run on a pool of exactly ``job_workers`` threads, not on
+        asyncio's default executor: that one starts another thread when a
+        job is submitted before the last one's thread has marked itself
+        idle, and every extra thread is another malloc arena (~25 MB of
+        RSS under uploads, at a scheduling-dependent moment)."""
+        import threading
+
+        seen = set()
+        monkeypatch.setattr(
+            "repro.server.app.execute_job",
+            lambda session, job: seen.add(threading.current_thread().name),
+        )
+
+        async def main():
+            server = AssessmentServer(port=0, job_workers=1)
+            await server.start()
+            try:
+                assert server._pool._max_workers == server.job_workers
+                for _ in range(50):
+                    job = server.jobs[server._submit(b"{}")[1]["id"]]
+                    while job.finished_at is None:
+                        await asyncio.sleep(0)
+            finally:
+                await server.stop()
+            assert server._pool is None  # shut down with the server
+
+        asyncio.run(asyncio.wait_for(main(), timeout=120))
+        assert seen == {"cuzchecker-job_0"}

@@ -15,13 +15,18 @@ reports, and chunk-span traces for the CI artifact upload.
 
 ``--workers`` forwards to ``--audit-workers`` on every run (so CI can
 SIGKILL a *parallel* audit and prove the part-file merge resumes it
-byte-identically) and ``--bundle-codec`` packs the generated tree's
-chunks with zlib/zstd.
+byte-identically), ``--resume-workers`` overrides it for the resumed run
+only (a killed serial audit picked up by two workers), and
+``--bundle-codec`` packs the generated tree's chunks with zlib/zstd.
+``--max-checkpoint-bytes`` stats the checkpoint and every worker part
+file on each poll and fails the run if one ever exceeds the bound — the
+checkpoint holds cursors and partials, not the SSIM ring.
 
 Usage::
 
     PYTHONPATH=src python tools/audit_smoke.py [--workdir audit_work]
-        [--workers 2] [--bundle-codec zlib]
+        [--workers 2] [--resume-workers 2] [--bundle-codec zlib]
+        [--max-checkpoint-bytes 65536]
 """
 
 from __future__ import annotations
@@ -110,6 +115,19 @@ def checkpoint_progress(ckpt: Path) -> tuple[int, int]:
     return (len(doc.get("completed", [])), chunks)
 
 
+def largest_checkpoint_file(ckpt: Path) -> int:
+    """Size of the biggest of the checkpoint and its worker part files
+    (0 when none exists; one replaced between listing and stat is the
+    next poll's business)."""
+    largest = 0
+    for path in [ckpt, *ckpt.with_name(ckpt.name + ".parts").glob("part-*.json")]:
+        try:
+            largest = max(largest, path.stat().st_size)
+        except FileNotFoundError:
+            pass
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, default=Path("audit_smoke_work"))
@@ -125,8 +143,17 @@ def main(argv=None) -> int:
         "(default: the config default, 'auto')",
     )
     parser.add_argument(
+        "--resume-workers", default=None,
+        help="--audit-workers for the resumed run only (default: --workers)",
+    )
+    parser.add_argument(
         "--bundle-codec", default=None, choices=("raw", "zlib", "zstd"),
         help="chunk codec for the generated bundle tree (default raw)",
+    )
+    parser.add_argument(
+        "--max-checkpoint-bytes", type=int, default=None,
+        help="fail if the checkpoint or any worker part file is ever "
+        "larger than this while the killed run is polled",
     )
     args = parser.parse_args(argv)
 
@@ -166,8 +193,10 @@ def main(argv=None) -> int:
     )
     deadline = time.monotonic() + args.timeout
     killed_mid_run = False
+    largest = 0
     while time.monotonic() < deadline:
         done_fields, chunks = checkpoint_progress(ck_kill)
+        largest = max(largest, largest_checkpoint_file(ck_kill))
         if proc.poll() is not None:
             break  # finished before we could kill it
         if done_fields >= 1 or chunks >= args.min_chunks:
@@ -192,13 +221,23 @@ def main(argv=None) -> int:
     if killed.exists():
         print("FAIL: killed run should not have written a report", file=sys.stderr)
         return 1
+    largest = max(largest, largest_checkpoint_file(ck_kill))
+    print(f"largest checkpoint/part file seen: {largest} bytes")
+    if args.max_checkpoint_bytes is not None and largest > args.max_checkpoint_bytes:
+        print(
+            f"FAIL: a checkpoint or part file reached {largest} bytes, over "
+            f"the {args.max_checkpoint_bytes}-byte bound — is the SSIM ring "
+            "or the autocorrelation carry being persisted again?",
+            file=sys.stderr,
+        )
+        return 1
 
     # 3. resume
     t0 = time.monotonic()
     subprocess.run(
         _audit_cmd(
             archive, killed, ck_kill, work / "trace_resumed.json",
-            workers=args.workers,
+            workers=args.resume_workers or args.workers,
         ),
         env=env, check=True, timeout=args.timeout,
     )
