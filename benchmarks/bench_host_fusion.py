@@ -4,7 +4,7 @@ Measures, on real NumPy execution (no modelled costs):
 
 * **fused vs unfused** — ``compare_data`` with the shared
   :class:`~repro.core.workspace.MetricWorkspace` against the historical
-  per-consumer scans (``CheckerConfig(fused=False)``);
+  per-consumer scans (``CheckerConfig(backend="metric-oriented")``);
 * **parallel batch scaling** — ``parallel_compare_pairs`` at 1/2/4
   workers over a multi-field synthetic dataset (thread pool, and a
   second section for the shared-memory process pool where available);
@@ -74,8 +74,8 @@ def bench_fused(shape, repeats):
     from repro.core.compare import compare_data
 
     orig, dec = _make_pair(shape)
-    fused_cfg = replace(default_config(), fused=True)
-    unfused_cfg = replace(default_config(), fused=False)
+    fused_cfg = default_config()
+    unfused_cfg = replace(default_config(), backend="metric-oriented")
     t_fused = _best_of(
         lambda: compare_data(orig, dec, config=fused_cfg, with_baselines=False),
         repeats,

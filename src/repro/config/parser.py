@@ -122,6 +122,12 @@ def parse_config_text(text: str) -> CheckerConfig:
                 f"got {audit_raw!r}"
             ) from exc
 
+    # ``fused`` is not a field any more, but every .cfg an earlier version
+    # rendered carries the line: ``false`` meant the metric-oriented backend
+    backend = g.get("backend", "")
+    if not backend and g.get("fused", "true").lower() not in ("1", "true", "yes"):
+        backend = "metric-oriented"
+
     try:
         metrics_raw = g.get("metrics", "all")
         metrics: tuple[str, ...] | str
@@ -136,8 +142,7 @@ def parse_config_text(text: str) -> CheckerConfig:
             patterns=_int_tuple(g.get("patterns", "1 2 3")),
             device=g.get("device", "V100"),
             auxiliary=g.get("auxiliary", "true").lower() in ("1", "true", "yes"),
-            fused=g.get("fused", "true").lower() in ("1", "true", "yes"),
-            backend=g.get("backend", ""),
+            backend=backend,
             tiling=tiling,
             executor=g.get("executor", "").lower(),
             calibration=g.get("calibration", "auto"),
@@ -193,7 +198,6 @@ def format_config(config: CheckerConfig) -> str:
         "patterns = " + ", ".join(str(p) for p in config.patterns),
         f"device = {config.device}",
         f"auxiliary = {'true' if config.auxiliary else 'false'}",
-        f"fused = {'true' if config.fused else 'false'}",
         *([f"backend = {config.backend}"] if config.backend else []),
         f"tiling = {config.tiling}",
         *([f"executor = {config.executor}"] if config.executor else []),

@@ -31,14 +31,9 @@ class CheckerConfig:
     device: str = "V100"
     #: also compute auxiliary metrics (pearson, entropy, properties)
     auxiliary: bool = True
-    #: route execution through the shared :class:`MetricWorkspace` so
-    #: every derived array (error, squared error, element products, ...)
-    #: is computed once per assessment; ``False`` falls back to the
-    #: historical per-consumer scans (kept as the cross-check path)
-    fused: bool = True
     #: execution backend name registered in :mod:`repro.engine.backends`
     #: ("fused-host", "metric-oriented", "gpusim"); the empty string
-    #: derives the backend from ``fused`` when the plan is built
+    #: lets the plan choose (``fused-host`` unless dispatch finds better)
     backend: str = ""
     #: z-slab tiling of the fused host path: ``"auto"`` tiles large 3-D
     #: fields with a cache-sized slab, ``"off"`` keeps whole-array

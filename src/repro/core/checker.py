@@ -47,7 +47,7 @@ class CuZChecker:
         speedups can be read directly off each report.
     backend:
         Execution backend override (name or instance); defaults to the
-        plan's resolution of ``config.backend`` / ``config.fused``.
+        plan's resolution of ``config.backend``.
     tracer:
         Telemetry tracer every assessment records its span hierarchy
         into; defaults to the disabled no-op tracer.

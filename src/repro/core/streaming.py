@@ -33,14 +33,14 @@ from repro.core.workspace import ScratchPool, default_scratch_pool
 from repro.engine.tiling import TileAccumulator
 from repro.errors import CheckerError, ShapeError
 from repro.gpusim.memory import SmemFifo
-from repro.kernels.pattern1 import Pattern1Result, result_from_sums
+from repro.kernels.pattern1 import Pattern1Result
 from repro.kernels.pattern3 import (
     N_WINDOW_ACCUMS,
     Pattern3Config,
     _slab_window_sums,
     _window_sum_buffers,
 )
-from repro.metrics.ssim import window_positions
+from repro.metrics.ssim import ssim_from_sums, window_positions
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["StreamingChecker", "StreamingResult"]
@@ -76,6 +76,11 @@ class StreamingChecker:
         ``dynamic_range``.  ``None`` disables streaming SSIM.
     pwr_floor:
         Pointwise-relative-error exclusion threshold (pattern 1).
+    z0:
+        Global z of the first slice :meth:`update` will see.  A checker
+        that starts mid-field (one slab of a parallel run) takes the
+        :attr:`halo` slices before ``z0`` through :meth:`prime`, and its
+        state is folded into the whole by :meth:`merge_state`.
     """
 
     def __init__(
@@ -85,20 +90,20 @@ class StreamingChecker:
         ssim: Pattern3Config | None = None,
         pwr_floor: float = 0.0,
         tracer: Tracer | None = None,
+        z0: int = 0,
     ):
-        if len(plane_shape) != 2 or min(plane_shape) < 1:
-            raise ShapeError(f"plane_shape must be (ny, nx), got {plane_shape}")
-        if max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-        if max_lag >= min(plane_shape):
-            raise ShapeError(
-                f"max_lag {max_lag} must be < min plane extent {min(plane_shape)}"
-            )
         if ssim is not None and ssim.dynamic_range is None:
             raise CheckerError(
                 "streaming SSIM needs an explicit dynamic_range (the global "
                 "value range is unknown mid-stream)"
             )
+        # pattern-1 + autocorrelation accumulation (including the rolling
+        # carry of the last max_lag error slices) is the tiled executor's
+        # accumulator, fed caller-sized chunks instead of slabs; it also
+        # validates plane_shape and max_lag
+        self._acc = TileAccumulator(
+            plane_shape, max_lag=max_lag, pwr_floor=pwr_floor, z0=z0
+        )
         self.ny, self.nx = plane_shape
         self.max_lag = max_lag
         self.ssim_config = ssim
@@ -106,15 +111,8 @@ class StreamingChecker:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._chunk_index = 0
 
-        # pattern-1 + autocorrelation accumulation (including the rolling
-        # carry of the last max_lag error slices) is the tiled executor's
-        # accumulator, fed caller-sized chunks instead of slabs
-        self._acc = TileAccumulator(
-            plane_shape, max_lag=max_lag, pwr_floor=pwr_floor
-        )
-
         # -- streaming SSIM -------------------------------------------------
-        self._z = 0
+        self._z = z0
         if ssim is not None:
             ssim.validate((max(ssim.window, 1), self.ny, self.nx))
             py = window_positions(self.ny, ssim.window, ssim.step)
@@ -256,15 +254,7 @@ class StreamingChecker:
         c1 = (cfg.k1 * L) ** 2
         c2 = (cfg.k2 * L) ** 2
         volume = float(cfg.window**3)
-        s1, s2, sq1, sq2, s12 = self._fifo.reduce()
-        mu1 = s1 / volume
-        mu2 = s2 / volume
-        var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-        var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-        cov = s12 / volume - mu1 * mu2
-        local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-            (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-        )
+        local = ssim_from_sums(*self._fifo.reduce(), volume, c1, c2)
         self._ssim_total += float(local.sum())
         self._ssim_count += local.size
 
@@ -314,43 +304,36 @@ class StreamingChecker:
             else:  # halo-less: empty until prime() refills it
                 self._fifo = SmemFifo(self._fifo.depth, self._fifo.slot_shape)
 
+    def merge_state(self, state: dict) -> None:
+        """Fold in the ``state_dict`` of a checker that started at this
+        one's cursor (see ``z0``): the accumulator merges associatively,
+        SSIM total and window count add.  Ring and carry stay as they are,
+        so a merged checker is for :meth:`finalize`, not for more chunks.
+        """
+        self._acc.merge_state(state["acc"])
+        self._z = self._acc.z
+        if self.ssim_config is not None:
+            self._ssim_total += float(state["ssim"]["total"])
+            self._ssim_count += int(state["ssim"]["count"])
+
     # -- finishing -------------------------------------------------------------
 
     def finalize(self) -> StreamingResult:
         """Close the stream and compute the final metric values."""
         if self._acc.n == 0:
             raise CheckerError("no data was streamed")
-        self._finalized = True
         with self.tracer.span(
             "finalize", category="step", slices=self._z, elements=self._acc.n
         ):
-            return self._finalize_result()
+            result = self._finalize_result()
+        self._finalized = True  # only now: a failed finalize can be fed more
+        return result
 
     def _finalize_result(self) -> StreamingResult:
-        a = self._acc
-        pattern1 = result_from_sums(
-            a.n,
-            a.min_e,
-            a.max_e,
-            a.sum_e,
-            a.sum_abs_e,
-            a.sum_sq_e,
-            a.min_o,
-            a.max_o,
-            a.sum_o,
-            a.sum_sq_o,
-            a.min_r,
-            a.max_r,
-            a.sum_r,
-            a.cnt_r,
-            None,
-            None,
-        )
-        pattern1.extras.update(
-            pwr_count=a.cnt_r, sum_pwr=a.sum_r, streamed=True
-        )
+        pattern1 = self._acc.pattern1_result()
+        pattern1.extras["streamed"] = True
 
-        ac = a.finalize_autocorr() if self.max_lag >= 1 else None
+        ac = self._acc.finalize_autocorr() if self.max_lag >= 1 else None
 
         ssim = None
         if self.ssim_config is not None:

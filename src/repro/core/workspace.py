@@ -43,7 +43,7 @@ from repro.metrics.properties import (
     entropy,
 )
 from repro.metrics.pwr_error import PwrErrorStats
-from repro.metrics.rate_distortion import RateDistortion
+from repro.metrics.rate_distortion import RateDistortion, finalize_rate_distortion
 
 __all__ = [
     "MetricWorkspace",
@@ -174,39 +174,6 @@ def clear_scratch_pools() -> int:
         for pool in _ALL_POOLS:
             pool.clear()
     return freed
-
-
-def finalize_rate_distortion(
-    n: int, mse: float, value_range: float, var_o: float
-) -> RateDistortion:
-    """MSE + value range + signal variance -> the rate-distortion family.
-
-    Shared by every fused consumer so the degenerate-case conventions
-    (constant field, lossless reconstruction) cannot drift between paths.
-    """
-    rmse = math.sqrt(mse)
-    if value_range == 0.0:
-        nrmse = math.nan if mse > 0 else 0.0
-        psnr = math.nan
-    elif mse == 0.0:
-        nrmse, psnr = 0.0, math.inf
-    else:
-        nrmse = rmse / value_range
-        psnr = 20.0 * math.log10(value_range) - 10.0 * math.log10(mse)
-    if mse == 0.0:
-        snr = math.inf
-    elif var_o == 0.0:
-        snr = -math.inf
-    else:
-        snr = 10.0 * math.log10(var_o / mse)
-    return RateDistortion(
-        mse=mse,
-        rmse=rmse,
-        nrmse=nrmse,
-        snr=snr,
-        psnr=psnr,
-        value_range=value_range,
-    )
 
 
 def histogram_pdf(vals: np.ndarray, lo: float, hi: float, bins: int) -> Pdf:

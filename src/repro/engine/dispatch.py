@@ -482,9 +482,6 @@ def _gpusim_candidate(
 def _candidate_backends(plan, pinned: str | None) -> list[str]:
     if pinned:
         return [pinned]
-    if not plan.config.fused:
-        # fused=False is an explicit request for the moZC discipline
-        return ["metric-oriented"]
     names = ["fused-host", "metric-oriented"]
     if compiled.available() and "compiled-host" in known_backends():
         names.append("compiled-host")

@@ -339,14 +339,14 @@ class ExecutionPlan:
 def resolve_backend_name(
     config: CheckerConfig, backend: str | Backend | None = None
 ) -> str:
-    """Apply the backend precedence rule: argument > config > ``fused``."""
+    """Apply the backend precedence rule: argument > config > ``fused-host``."""
     if isinstance(backend, Backend):
         return backend.name
     if backend:
         return backend
     if config.backend:
         return config.backend
-    return "fused-host" if config.fused else "metric-oriented"
+    return "fused-host"
 
 
 def resolve_executor_name(config: CheckerConfig, executor: str | None = None) -> str:

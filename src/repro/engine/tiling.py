@@ -161,6 +161,7 @@ class TileAccumulator:
         max_lag: int = 0,
         pwr_floor: float = 0.0,
         deriv_whichs: tuple[int, ...] = (),
+        z0: int = 0,
     ):
         if len(plane_shape) != 2 or min(plane_shape) < 1:
             raise ShapeError(f"plane_shape must be (ny, nx), got {plane_shape}")
@@ -175,8 +176,9 @@ class TileAccumulator:
         self.pwr_floor = pwr_floor
         self.deriv_whichs = tuple(deriv_whichs)
 
-        #: slices consumed so far (the global z of the next block's first plane)
-        self.z = 0
+        #: the global z of the next block's first plane; a slab worker
+        #: starts at its slab's ``z0`` and merges into the fold later
+        self.z = z0
         self.n = 0
         inf = math.inf
         self.min_e, self.max_e = inf, -inf
@@ -337,6 +339,29 @@ class TileAccumulator:
     def finalize_derivatives(self) -> dict[int, DerivativeComparison]:
         return finalize_stencil_partials(self._deriv)
 
+    def pattern1_result(
+        self, err_pdf: Pdf | None = None, pwr_pdf: Pdf | None = None
+    ) -> Pattern1Result:
+        """The Category-I result of the registers as they stand."""
+        return result_from_sums(
+            self.n,
+            self.min_e,
+            self.max_e,
+            self.sum_e,
+            self.sum_abs_e,
+            self.sum_sq_e,
+            self.min_o,
+            self.max_o,
+            self.sum_o,
+            self.sum_sq_o,
+            self.min_r,
+            self.max_r,
+            self.sum_r,
+            self.cnt_r,
+            err_pdf,
+            pwr_pdf,
+        )
+
     # -- checkpoint/resume -------------------------------------------------
 
     _STATE_SCALARS = (
@@ -413,6 +438,39 @@ class TileAccumulator:
             dst = self._deriv[w]
             for key in dst:
                 dst[key] = int(src[key]) if key == "count" else float(src[key])
+
+    def merge_state(self, state: dict) -> None:
+        """Fold in the :meth:`state_dict` of an accumulator that started at
+        this one's cursor — the associative grid-level reduce: sums and
+        ``ac_*`` add, extrema take min/max, the cursor moves to the merged
+        end.  The carry is not touched (a merged fold is only finalised)
+        and derivative partials are not merged (the tiled executor, their
+        only producer, runs one accumulator)."""
+        n = int(state["n"])
+        start = int(state["z"]) - n // (self.ny * self.nx)
+        if start != self.z:
+            raise CheckerError(
+                f"cannot merge a state starting at slice {start} into an "
+                f"accumulator at slice {self.z}"
+            )
+        for k in self._STATE_SCALARS:
+            if k in ("z", "n"):
+                continue
+            mine, theirs = getattr(self, k), float(state[k])
+            if k.startswith("min_"):
+                setattr(self, k, min(mine, theirs))
+            elif k.startswith("max_"):
+                setattr(self, k, max(mine, theirs))
+            else:
+                setattr(self, k, mine + theirs)
+        self.n += n
+        self.z = int(state["z"])
+        for name in ("ac_ab", "ac_a", "ac_b", "ac_n"):
+            target = getattr(self, name)
+            src = np.asarray(state["arrays"][name], dtype=target.dtype)
+            if src.shape != target.shape:
+                raise ShapeError(f"accumulator state {name} shape mismatch")
+            target += src
 
 
 def _pdf_from_counts(counts: np.ndarray, edges: np.ndarray) -> Pdf:
@@ -633,25 +691,7 @@ class TiledAssessment:
         if not self.want_pdfs:
             raise CheckerError("tiled run was not configured for pattern 1")
         self.sweep2()
-        a = self.acc
-        return result_from_sums(
-            a.n,
-            a.min_e,
-            a.max_e,
-            a.sum_e,
-            a.sum_abs_e,
-            a.sum_sq_e,
-            a.min_o,
-            a.max_o,
-            a.sum_o,
-            a.sum_sq_o,
-            a.min_r,
-            a.max_r,
-            a.sum_r,
-            a.cnt_r,
-            self._err_pdf,
-            self._pwr_pdf,
-        )
+        return self.acc.pattern1_result(self._err_pdf, self._pwr_pdf)
 
     def pattern2_result(
         self, err_mean: float | None = None, err_var: float | None = None

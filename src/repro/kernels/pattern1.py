@@ -29,6 +29,7 @@ from repro.errors import ConfigError, ShapeError
 from repro.gpusim.counters import KernelStats
 from repro.gpusim.warp import warp_reduce
 from repro.metrics.error_stats import Pdf
+from repro.metrics.rate_distortion import finalize_rate_distortion
 
 __all__ = [
     "Pattern1Config",
@@ -224,9 +225,8 @@ def result_from_sums(
     """Grid-level accumulator sums -> the full Category-I result.
 
     Shared by the blocked kernel execution, the workspace-fused fast
-    path, the tiled/streaming accumulators, and the parallel slab
-    combiners so the degenerate-case conventions stay identical
-    everywhere.
+    path, the tiled/streaming accumulator and the multi-GPU merge; the
+    degenerate cases are :func:`finalize_rate_distortion`'s.
     """
     has_r = cnt_r > 0
     if not has_r:
@@ -234,25 +234,10 @@ def result_from_sums(
     avg_r = sum_r / cnt_r if has_r else 0.0
 
     mse = sum_sq_e / n
-    rmse = math.sqrt(mse)
     value_range = max_o - min_o
     mean_o = sum_o / n
     var_o = max(sum_sq_o / n - mean_o * mean_o, 0.0)
-
-    if value_range == 0.0:
-        nrmse = math.nan if mse > 0 else 0.0
-        psnr = math.nan
-    elif mse == 0.0:
-        nrmse, psnr = 0.0, math.inf
-    else:
-        nrmse = rmse / value_range
-        psnr = 20.0 * math.log10(value_range) - 10.0 * math.log10(mse)
-    if mse == 0.0:
-        snr = math.inf
-    elif var_o == 0.0:
-        snr = -math.inf
-    else:
-        snr = 10.0 * math.log10(var_o / mse)
+    rd = finalize_rate_distortion(n, mse, value_range, var_o)
 
     return Pattern1Result(
         n=n,
@@ -262,11 +247,11 @@ def result_from_sums(
         avg_abs_err=sum_abs_e / n,
         max_abs_err=max(abs(min_e), abs(max_e)),
         mse=mse,
-        rmse=rmse,
+        rmse=rd.rmse,
         value_range=value_range,
-        nrmse=nrmse,
-        snr=snr,
-        psnr=psnr,
+        nrmse=rd.nrmse,
+        snr=rd.snr,
+        psnr=rd.psnr,
         min_pwr_err=min_r,
         max_pwr_err=max_r,
         avg_pwr_err=avg_r,
@@ -276,7 +261,7 @@ def result_from_sums(
         var_orig=var_o,
         err_pdf=err_pdf,
         pwr_err_pdf=pwr_err_pdf,
-        extras={"pwr_count": cnt_r, "sum_pwr": avg_r * cnt_r},
+        extras={"pwr_count": cnt_r, "sum_pwr": sum_r if has_r else 0.0},
     )
 
 

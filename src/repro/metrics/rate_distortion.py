@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.metrics.error_stats import _as_pair
 
-__all__ = ["RateDistortion", "rate_distortion"]
+__all__ = ["RateDistortion", "rate_distortion", "finalize_rate_distortion"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,41 @@ def rate_distortion(orig: np.ndarray, dec: np.ndarray) -> RateDistortion:
     else:
         snr = 10.0 * math.log10(signal_var / mse)
 
+    return RateDistortion(
+        mse=mse,
+        rmse=rmse,
+        nrmse=nrmse,
+        snr=snr,
+        psnr=psnr,
+        value_range=value_range,
+    )
+
+
+def finalize_rate_distortion(
+    n: int, mse: float, value_range: float, var_o: float
+) -> RateDistortion:
+    """MSE + value range + signal variance -> the rate-distortion family.
+
+    Shared by every fused consumer so the degenerate-case conventions
+    (constant field, lossless reconstruction) cannot drift between paths.
+    :func:`rate_distortion` spells the same cases out on purpose: it is the
+    independent reference the tests hold this one to.
+    """
+    rmse = math.sqrt(mse)
+    if value_range == 0.0:
+        nrmse = math.nan if mse > 0 else 0.0
+        psnr = math.nan
+    elif mse == 0.0:
+        nrmse, psnr = 0.0, math.inf
+    else:
+        nrmse = rmse / value_range
+        psnr = 20.0 * math.log10(value_range) - 10.0 * math.log10(mse)
+    if mse == 0.0:
+        snr = math.inf
+    elif var_o == 0.0:
+        snr = -math.inf
+    else:
+        snr = 10.0 * math.log10(var_o / mse)
     return RateDistortion(
         mse=mse,
         rmse=rmse,

@@ -29,6 +29,7 @@ __all__ = [
     "ssim3d",
     "ssim3d_naive",
     "box_sums",
+    "ssim_from_sums",
     "window_positions",
 ]
 
@@ -119,6 +120,23 @@ def box_sums(a: np.ndarray, window: int, step: int) -> np.ndarray:
     for axis in range(3):
         out = _axis_window_sums(out, window, step, axis)
     return out
+
+
+def ssim_from_sums(s1, s2, sq1, sq2, s12, volume: float, c1: float, c2: float):
+    """Local SSIM of every window from its five sums ``Σo, Σd, Σo², Σd², Σo·d``.
+
+    The one written-out mix for the reference, 2-D and streamed paths
+    (the slab sweep evaluates the same expression in place with ``out=``);
+    the operation order is fixed, so callers sharing sums share bits.
+    """
+    mu1 = s1 / volume
+    mu2 = s2 / volume
+    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
+    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
+    cov = s12 / volume - mu1 * mu2
+    return ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
+        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    )
 
 
 def _prepare(
@@ -214,22 +232,16 @@ def ssim3d(
         return ssim3d_naive(orig, dec, config)
     o, d, c1, c2 = _prepare(orig, dec, config)
     w, step = config.window, config.step
-    volume = float(w**3)
-    s1 = box_sums(o, w, step)
-    s2 = box_sums(d, w, step)
-    sq1 = box_sums(o * o, w, step)
-    sq2 = box_sums(d * d, w, step)
-    s12 = box_sums(o * d, w, step)
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-
-    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    local = num / den
+    local = ssim_from_sums(
+        box_sums(o, w, step),
+        box_sums(d, w, step),
+        box_sums(o * o, w, step),
+        box_sums(d * d, w, step),
+        box_sums(o * d, w, step),
+        float(w**3),
+        c1,
+        c2,
+    )
     return SsimResult(
         ssim=float(local.mean()),
         min_window_ssim=float(local.min()),

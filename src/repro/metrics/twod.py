@@ -14,7 +14,12 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.metrics.derivatives import DerivativeComparison, field_comparison
-from repro.metrics.ssim import SsimConfig, SsimResult, window_positions
+from repro.metrics.ssim import (
+    SsimConfig,
+    SsimResult,
+    ssim_from_sums,
+    window_positions,
+)
 
 __all__ = [
     "box_sums_2d",
@@ -67,21 +72,15 @@ def ssim2d(
     c1 = (config.k1 * L) ** 2
     c2 = (config.k2 * L) ** 2
     w, step = config.window, config.step
-    volume = float(w**2)
-
-    s1 = box_sums_2d(o, w, step)
-    s2 = box_sums_2d(d, w, step)
-    sq1 = box_sums_2d(o * o, w, step)
-    sq2 = box_sums_2d(d * d, w, step)
-    s12 = box_sums_2d(o * d, w, step)
-
-    mu1 = s1 / volume
-    mu2 = s2 / volume
-    var1 = np.maximum(sq1 / volume - mu1 * mu1, 0.0)
-    var2 = np.maximum(sq2 / volume - mu2 * mu2, 0.0)
-    cov = s12 / volume - mu1 * mu2
-    local = ((2 * mu1 * mu2 + c1) * (2 * cov + c2)) / (
-        (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+    local = ssim_from_sums(
+        box_sums_2d(o, w, step),
+        box_sums_2d(d, w, step),
+        box_sums_2d(o * o, w, step),
+        box_sums_2d(d * d, w, step),
+        box_sums_2d(o * d, w, step),
+        float(w**2),
+        c1,
+        c2,
     )
     return SsimResult(
         ssim=float(local.mean()),

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from dataclasses import replace
 
 from repro.config.defaults import default_config
 from repro.config.schema import CheckerConfig
 from repro.core.frameworks import CuZC
-from repro.core.workspace import finalize_rate_distortion
 from repro.engine.plan import build_plan
 from repro.errors import ShapeError
-from repro.kernels.pattern1 import Pattern1Result
+from repro.kernels.pattern1 import Pattern1Result, result_from_sums
 from repro.multigpu.comm import NvLinkSpec, NVLINK_V100, allreduce_time, halo_exchange_time
 from repro.multigpu.partition import partition_z
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -154,49 +151,24 @@ def merge_pattern1(results: list[Pattern1Result]) -> Pattern1Result:
     """
     if not results:
         raise ValueError("nothing to merge")
-    n = sum(r.n for r in results)
-    sum_e = sum(r.avg_err * r.n for r in results)
-    sum_abs = sum(r.avg_abs_err * r.n for r in results)
-    sum_sq = sum(r.mse * r.n for r in results)
-    min_e = min(r.min_err for r in results)
-    max_e = max(r.max_err for r in results)
-    min_o = min(r.min_orig for r in results)
-    max_o = max(r.max_orig for r in results)
-    sum_o = sum(r.mean_orig * r.n for r in results)
-    sum_sq_o = sum((r.var_orig + r.mean_orig**2) * r.n for r in results)
-    cnt_r = sum(float(r.extras.get("pwr_count", 0.0)) for r in results)
-    sum_r = sum(float(r.extras.get("sum_pwr", 0.0)) for r in results)
     with_pwr = [r for r in results if float(r.extras.get("pwr_count", 0.0)) > 0]
-    min_r = min((r.min_pwr_err for r in with_pwr), default=0.0)
-    max_r = max((r.max_pwr_err for r in with_pwr), default=0.0)
-
-    mse = sum_sq / n
-    value_range = max_o - min_o
-    mean_o = sum_o / n
-    var_o = max(sum_sq_o / n - mean_o * mean_o, 0.0)
-    rd = finalize_rate_distortion(n, mse, value_range, var_o)
-
-    return Pattern1Result(
-        n=n,
-        min_err=min_e,
-        max_err=max_e,
-        avg_err=sum_e / n,
-        avg_abs_err=sum_abs / n,
-        max_abs_err=max(abs(min_e), abs(max_e)),
-        mse=mse,
-        rmse=rd.rmse,
-        value_range=value_range,
-        nrmse=rd.nrmse,
-        snr=rd.snr,
-        psnr=rd.psnr,
-        min_pwr_err=min_r,
-        max_pwr_err=max_r,
-        avg_pwr_err=sum_r / cnt_r if cnt_r else 0.0,
-        min_orig=min_o,
-        max_orig=max_o,
-        mean_orig=mean_o,
-        var_orig=var_o,
-        err_pdf=None,
-        pwr_err_pdf=None,
-        extras={"pwr_count": cnt_r, "sum_pwr": sum_r, "merged_ranks": len(results)},
+    merged = result_from_sums(
+        sum(r.n for r in results),
+        min(r.min_err for r in results),
+        max(r.max_err for r in results),
+        sum(r.avg_err * r.n for r in results),
+        sum(r.avg_abs_err * r.n for r in results),
+        sum(r.mse * r.n for r in results),
+        min(r.min_orig for r in results),
+        max(r.max_orig for r in results),
+        sum(r.mean_orig * r.n for r in results),
+        sum((r.var_orig + r.mean_orig**2) * r.n for r in results),
+        min((r.min_pwr_err for r in with_pwr), default=0.0),
+        max((r.max_pwr_err for r in with_pwr), default=0.0),
+        sum(float(r.extras["sum_pwr"]) for r in with_pwr),
+        sum(float(r.extras["pwr_count"]) for r in with_pwr),
+        None,
+        None,
     )
+    merged.extras["merged_ranks"] = len(results)
+    return merged

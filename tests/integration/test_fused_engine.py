@@ -1,6 +1,7 @@
-"""The fused execution engine end to end: ``CheckerConfig(fused=...)``
-must be a pure performance knob — fused and unfused assessments agree
-with each other and with the independent metric references."""
+"""The fused execution engine end to end: the backend choice must be a
+pure performance knob — ``fused-host`` and ``metric-oriented`` (unfused)
+assessments agree with each other and with the independent metric
+references."""
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.config.schema import CheckerConfig
 from repro.core.compare import compare_data, compare_data_2d
+from repro.engine.plan import resolve_backend_name
 from repro.kernels.pattern2 import Pattern2Config
 from repro.kernels.pattern3 import Pattern3Config
 
@@ -26,10 +28,10 @@ class TestFusedEqualsUnfused:
     def reports(self, banded_pair):
         orig, dec = banded_pair
         fused = compare_data(
-            orig, dec, config=small_config(fused=True), with_baselines=False
+            orig, dec, config=small_config(), with_baselines=False
         )
         unfused = compare_data(
-            orig, dec, config=small_config(fused=False), with_baselines=False
+            orig, dec, config=small_config(backend="metric-oriented"), with_baselines=False
         )
         return fused, unfused
 
@@ -77,8 +79,9 @@ class TestFusedEqualsUnfused:
         )
 
     def test_fused_is_default(self):
-        assert CheckerConfig().fused is True
-        assert replace(CheckerConfig(), fused=False).fused is False
+        assert resolve_backend_name(CheckerConfig()) == "fused-host"
+        unfused = replace(CheckerConfig(), backend="metric-oriented")
+        assert resolve_backend_name(unfused) == "metric-oriented"
 
 
 class TestFusedVsReferences:
@@ -94,7 +97,7 @@ class TestFusedVsReferences:
 
         orig, dec = noisy_pair
         report = compare_data(
-            orig, dec, config=small_config(fused=True), with_baselines=False
+            orig, dec, config=small_config(), with_baselines=False
         )
         scalars = report.scalars()
         es = error_stats(orig, dec)

@@ -113,8 +113,13 @@ class TestStreamingValidation:
         cfg = Pattern3Config(window=8, dynamic_range=1.0)
         checker = StreamingChecker((20, 22), ssim=cfg)
         checker.update(orig[:4], dec[:4])
-        with pytest.raises(CheckerError):
+        with pytest.raises(CheckerError, match="before one full SSIM window"):
             checker.finalize()
+        # the failed finalize did not close the stream: feed the rest
+        checker.update(orig[4:], dec[4:])
+        whole = StreamingChecker((20, 22), ssim=cfg)
+        whole.update(orig, dec)
+        assert checker.finalize().ssim == whole.finalize().ssim
 
     def test_lag_exceeding_plane_rejected(self):
         with pytest.raises(ShapeError):

@@ -103,3 +103,26 @@ class TestProcessSlabsBitIdentical:
         assert serial.pattern1.psnr == proc.pattern1.psnr
         assert serial.pattern1.nrmse == proc.pattern1.nrmse
         assert np.array_equal(serial.autocorrelation, proc.autocorrelation)
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        window=st.integers(2, 9),
+        step=st.integers(1, 4),
+        max_lag=st.integers(0, 4),
+        dtype=st.sampled_from((np.float16, np.float32, np.float64)),
+    )
+    def test_halo_spanning_several_slabs(self, seed, window, step, max_lag, dtype):
+        # 4 slabs of 1-3 slices: the halo of a window >= 7 spans 3 slabs
+        orig, dec = _field_pair(seed, (window + 3, 10, 12))
+        orig, dec = orig.astype(dtype), dec.astype(dtype)
+        kwargs = dict(
+            max_lag=max_lag,
+            ssim=Pattern3Config(window=window, step=step, dynamic_range=8.0),
+            workers=4,
+        )
+        serial = parallel_stream_field(orig, dec, executor="serial", **kwargs)
+        proc = parallel_stream_field(orig, dec, executor="process", **kwargs)
+        assert serial.scalars() == proc.scalars()
+        if max_lag:
+            assert np.array_equal(serial.autocorrelation, proc.autocorrelation)

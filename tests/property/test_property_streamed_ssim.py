@@ -11,6 +11,11 @@ written by the summed-area-table slice stage this replaced (what a
 checkpoint from commit a06e33c holds) must still resume, within the
 oracle tolerance of a fresh run.
 
+The same fold run slab-parallel (``parallel/chunking``: one checker per
+slab started at ``z0``, ``prime`` on the halo, one ``update``,
+``merge_state`` in z order) must equal one uninterrupted stream, with
+every lag pair and SSIM window counted exactly once.
+
 Tolerances come from ``TOLERANCES`` in ``test_property_sweep`` (DESIGN
 §6 repeats the table); the golden v1 checkpoint's own resume test is
 ``tests/unit/test_checkpoint_format.py::TestV1ReadPath``.
@@ -22,8 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingChecker
+from repro.errors import CheckerError
 from repro.kernels.pattern3 import Pattern3Config
 from repro.metrics.ssim import SsimConfig, ssim3d, ssim3d_naive, window_positions
+from repro.parallel.chunking import _slab_state, parallel_stream_field, z_chunks
 from tests.property.test_property_sweep import DTYPES, TOLERANCES, _pair
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -180,3 +187,80 @@ class TestStreamedEqualsOracles:
         for depths in ([1] * (window + 4), [window + 4], [3, window + 1]):
             checker = _stream(_checker(field.shape, window, 1, 1.0), field, field, depths)
             assert checker.finalize().ssim == 1.0
+
+
+@st.composite
+def slab_cases(draw):
+    window = draw(st.integers(2, 9))
+    step = draw(st.integers(1, 4))
+    max_lag = draw(st.integers(0, 4))
+    nz = window + draw(st.integers(0, 2 * window))
+    ny = max(window, max_lag + 1) + draw(st.integers(0, 5))
+    nx = max(window, max_lag + 1) + draw(st.integers(0, 5))
+    dtype = draw(st.sampled_from(DTYPES))
+    seed = draw(st.integers(0, 2**16))
+    return (nz, ny, nx), window, step, max_lag, dtype, seed
+
+
+class TestSlabMergeEqualsOneStream:
+    @SETTINGS
+    @given(slab_cases())
+    def test_every_slab_count_equals_one_stream_with_exact_once_ownership(self, case):
+        shape, window, step, max_lag, dtype, seed = case
+        orig, dec = _pair(shape, seed, dtype)
+        nz = shape[0]
+        ssim = Pattern3Config(
+            window=window, step=step, yrows=max(12, window), dynamic_range=4.0
+        )
+        args = (max_lag, ssim, 0.5)  # pwr_floor 0.5: some elements excluded
+
+        def checker():
+            return StreamingChecker(shape[1:], max_lag=max_lag, ssim=ssim, pwr_floor=0.5)
+
+        one = checker()
+        one.update(orig, dec)
+        want_state = one.state_dict(halo=False)
+        want = one.finalize()
+        rel = TOLERANCES["slab_merge_scalars"]
+
+        # nz slabs are one slice each (shorter than any halo), nz + 3 clamps
+        for count in (1, 2, 3, nz, nz + 3):
+            slabs = z_chunks(nz, count)
+            states = [_slab_state(orig, dec, z0, z1, *args) for z0, z1 in slabs]
+            merged = checker()
+            for state in states:
+                merged.merge_state(state)
+            got_state = merged.state_dict(halo=False)
+            assert got_state["z"] == nz
+            assert got_state["acc"]["n"] == want_state["acc"]["n"]
+            assert np.array_equal(
+                got_state["acc"]["arrays"]["ac_n"], want_state["acc"]["arrays"]["ac_n"]
+            )
+            assert got_state["ssim"]["count"] == want_state["ssim"]["count"]
+
+            got = merged.finalize()
+            assert got.ssim == pytest.approx(
+                want.ssim, abs=TOLERANCES["ssim_streamed"], rel=0
+            )
+            assert got.scalars() == pytest.approx(want.scalars(), rel=rel, abs=rel)
+            if max_lag:
+                np.testing.assert_allclose(
+                    got.autocorrelation, want.autocorrelation, rtol=rel, atol=rel
+                )
+            # the driver is exactly this loop
+            driven = parallel_stream_field(
+                orig, dec, *args, workers=count, executor="serial"
+            )
+            assert driven.scalars() == got.scalars()
+
+            if len(states) > 1:  # merging is order-checked
+                with pytest.raises(CheckerError, match="cannot merge"):
+                    checker().merge_state(states[1])
+                with pytest.raises(CheckerError, match="cannot merge"):
+                    merged.merge_state(states[0])
+
+    def test_field_shallower_than_the_window_raises_through_finalize(self):
+        orig, dec = _pair((5, 8, 8), seed=1)
+        ssim = Pattern3Config(window=6, dynamic_range=4.0)
+        with pytest.raises(CheckerError, match="before one full SSIM window"):
+            parallel_stream_field(orig, dec, 2, ssim, workers=2, executor="serial")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config.parser import format_config, parse_config_text
 from repro.config.schema import CheckerConfig
 from repro.engine import (
     Backend,
@@ -91,11 +92,14 @@ class TestPlanBuilding:
 
 class TestBackendResolution:
     def test_default_follows_fused_flag(self):
-        assert resolve_backend_name(small_config(fused=True)) == "fused-host"
-        assert resolve_backend_name(small_config(fused=False)) == "metric-oriented"
+        # the flag survives only as a legacy .cfg key the parser translates
+        assert resolve_backend_name(small_config()) == "fused-host"
+        legacy = parse_config_text("[GLOBAL]\nfused = false\n")
+        assert resolve_backend_name(legacy) == "metric-oriented"
+        assert "fused =" not in format_config(legacy)
 
     def test_config_backend_beats_fused(self):
-        cfg = small_config(fused=True, backend="gpusim")
+        cfg = parse_config_text("[GLOBAL]\nfused = false\nbackend = gpusim\n")
         assert resolve_backend_name(cfg) == "gpusim"
         assert build_plan(cfg).backend == "gpusim"
 

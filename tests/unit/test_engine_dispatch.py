@@ -239,8 +239,8 @@ class TestChoose:
         assert decision.chosen.backend == "metric-oriented"
 
     def test_unfused_config_skips_fused_backends(self):
-        decision = choose(self._plan(fused=False), SMALL, 4)
-        assert {c.backend for c in decision.candidates} == {"metric-oriented"}
+        plan = dispatch_plan(self._plan(backend="metric-oriented"), SMALL, 4)
+        assert {c.backend for c in plan.decision.candidates} == {"metric-oriented"}
 
     def test_chosen_is_cheapest(self):
         decision = choose(self._plan(), LARGE, 4)

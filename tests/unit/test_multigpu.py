@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.kernels.pattern1 import execute_pattern1
+from repro.kernels.pattern1 import Pattern1Config, execute_pattern1
 from repro.multigpu.checker import MultiGpuCuZC, merge_pattern1
 from repro.multigpu.comm import NVLINK_V100, allreduce_time, halo_exchange_time
 from repro.multigpu.partition import partition_z
@@ -95,3 +95,58 @@ class TestMultiGpuCuZC:
     def test_invalid_gpu_count(self):
         with pytest.raises(ValueError):
             MultiGpuCuZC(0)
+
+
+class TestMergeDegenerateCases:
+    """The cases ``finalize_rate_distortion`` decides, reached through the
+    merge: whole-field and merged-from-ranks results must agree on them."""
+
+    @staticmethod
+    def _merged_and_whole(orig, dec, config=None, cut=5):
+        ranks = [
+            execute_pattern1(orig[sl], dec[sl], config)[0]
+            for sl in (slice(0, cut), slice(cut, None))
+        ]
+        return merge_pattern1(ranks), execute_pattern1(orig, dec, config)[0]
+
+    @staticmethod
+    def _assert_same(merged, whole):
+        got, want = merged.as_dict(), whole.as_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, nan_ok=True), key
+
+    def test_constant_field(self):
+        orig = np.full((9, 6, 7), 2.5, np.float32)
+        dec = orig + np.float32(1e-3)
+        merged, whole = self._merged_and_whole(orig, dec)
+        assert np.isnan(merged.psnr) and np.isnan(merged.nrmse)
+        assert merged.snr == -np.inf
+        self._assert_same(merged, whole)
+
+    def test_one_lossless_rank_and_an_all_lossless_field(self, banded_pair):
+        orig, dec = banded_pair
+        dec = dec.copy()
+        dec[:5] = orig[:5]  # rank 0 reconstructs exactly
+        merged, whole = self._merged_and_whole(orig, dec)
+        assert np.isfinite(merged.psnr)
+        self._assert_same(merged, whole)
+        merged, whole = self._merged_and_whole(orig, orig)
+        assert merged.psnr == np.inf and merged.snr == np.inf and merged.nrmse == 0.0
+        self._assert_same(merged, whole)
+
+    def test_rank_entirely_under_pwr_floor(self, banded_pair):
+        orig, dec = banded_pair
+        orig, dec = orig.copy(), dec.copy()
+        floor = 1e-3 * float(np.abs(orig).max())
+        orig[:5] *= 1e-6  # every element of rank 0 falls under the floor
+        dec[:5] = orig[:5]
+        config = Pattern1Config(pwr_floor=floor)
+        merged, whole = self._merged_and_whole(orig, dec, config)
+        assert merged.extras["pwr_count"] == whole.extras["pwr_count"] > 0
+        self._assert_same(merged, whole)
+        # ... and when every rank is: the pwr family is zero, not inf/nan
+        merged, whole = self._merged_and_whole(orig[:5], dec[:5], config, cut=2)
+        assert merged.extras["pwr_count"] == 0
+        assert (merged.min_pwr_err, merged.max_pwr_err, merged.avg_pwr_err) == (0, 0, 0)
+        self._assert_same(merged, whole)

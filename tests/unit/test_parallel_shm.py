@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from multiprocessing import shared_memory
 
-from repro.errors import CheckerError
+from repro.errors import CheckerError, ShapeError
 from repro.parallel import SharedField, shared_fields, shm_available
+from repro.parallel.chunking import _slab_job
+from repro.parallel.shm import active_segment_count
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform has no shared memory"
@@ -90,3 +92,17 @@ class TestSharedFieldsContext:
                 names = [h.name for h in handles]
                 raise RuntimeError("worker died")
         assert names and not any(_segment_exists(n) for n in names)
+
+    def test_failed_slab_job_unmaps_both_fields(self):
+        """A slab that raises must not leave the worker's two mappings
+        behind for the life of the pool (run in-process on attach-side
+        handles, exactly what a pool worker unpickles)."""
+        field = np.zeros((6, 4, 4), np.float32)
+        before = active_segment_count()
+        with shared_fields([field, field]) as owners:
+            workers = [pickle.loads(pickle.dumps(h)) for h in owners]
+            with pytest.raises(ShapeError, match="max_lag"):
+                # max_lag 4 on 4x4 planes: the checker rejects it
+                _slab_job(*workers, 0, 3, 4, None, 0.0)
+            assert [h._shm for h in workers] == [None, None]
+        assert active_segment_count() == before
